@@ -18,7 +18,6 @@ from typing import Mapping
 
 import pandas as pd
 
-from ..core import compiler_pandas as cp
 from ..core.compiler_pandas import CapacityError, eval_pandas
 from ..core.query2mu import GRAPH, crpq_to_term
 from ..core.rpq import CRPQ, parse_query
@@ -42,12 +41,7 @@ def eval_term_myria(
 ) -> pd.DataFrame:
     """Evaluate an (unoptimized) μ-RA term the way Myria would: semi-
     naive, single machine, capacity-capped."""
-    prev = cp.ROW_CAP
-    cp.ROW_CAP = row_cap
-    try:
-        return eval_pandas(term, {GRAPH: graph})
-    finally:
-        cp.ROW_CAP = prev
+    return eval_pandas(term, {GRAPH: graph}, row_cap=row_cap)
 
 
 __all__ = ["eval_crpq_myria", "eval_term_myria", "CapacityError"]

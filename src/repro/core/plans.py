@@ -31,8 +31,9 @@ from typing import Iterator, Mapping
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from .compiler_pandas import seminaive_loop
+from .compiler_pandas import CapacityError, seminaive_loop
 from .compiler_spark import FixConfig, eval_spark
+from .compiler_sql import DuckdbEvaluator
 from .fcond import check_fcond, constant_variable_split, union_branches, union_of
 from .stabilizer import stable_columns
 from .terms import (
@@ -167,8 +168,6 @@ def _run_gld(
     branches = union_branches(phi2)
     cols = list(seeds.columns)
 
-    from .compiler_pandas import CapacityError
-
     x = seeds.localCheckpoint()
     total = None
     new = x
@@ -207,30 +206,29 @@ def _run_plw(
     cfg: FixConfig,
     engine: str,
 ) -> DataFrame:
+    if engine not in ("plw_s", "plw_pg"):
+        raise ValueError(f"unknown P_plw engine {engine!r}")
     phi2, consts = extract_constants(phi, var)
     # Evaluate φ's constant relations once and broadcast them. Bare Rel
-    # leaves referenced by φ are broadcast from env directly. If the
-    # broadcast volume is too large for the driver/workers, fall back to
-    # P_gld (distributed shuffle joins) — the same family of decisions a
-    # join planner makes between broadcast and shuffle joins.
-    needed = {
-        s.name
-        for s in _rel_leaves(phi2)
-        if s.name not in consts and s.name != var
-    }
+    # leaves referenced by φ are broadcast from env directly. Each is
+    # collected once, at most one row past what is left of the broadcast
+    # budget; if the relations overrun it, fall back to P_gld (distributed
+    # shuffle joins) — the same family of decisions a join planner makes
+    # between broadcast and shuffle joins.
     const_dfs: dict[str, DataFrame] = {
-        name: eval_spark(t, env, spark, cfg).localCheckpoint() for name, t in consts.items()
+        name: eval_spark(t, env, spark, cfg) for name, t in consts.items()
     }
-    for name in needed:
-        const_dfs[name] = env[name]
-    limit = BROADCAST_ROW_LIMIT if cfg.row_cap is None else min(cfg.row_cap, BROADCAST_ROW_LIMIT)
-    total_const_rows = sum(df.count() for df in const_dfs.values())
-    if total_const_rows > limit:
-        cfg.chosen[-1] = "gld(broadcast-fallback)"
-        return _run_gld(phi, var, seeds, env, spark, cfg)
-    const_pdfs: dict[str, pd.DataFrame] = {
-        name: df.toPandas() for name, df in const_dfs.items()
-    }
+    for s in _rel_leaves(phi2):
+        if s.name not in consts and s.name != var:
+            const_dfs[s.name] = env[s.name]
+    budget = BROADCAST_ROW_LIMIT if cfg.row_cap is None else min(cfg.row_cap, BROADCAST_ROW_LIMIT)
+    const_pdfs: dict[str, pd.DataFrame] = {}
+    for name, df in const_dfs.items():
+        const_pdfs[name] = df.limit(budget + 1).toPandas()
+        budget -= len(const_pdfs[name])
+        if budget < 0:
+            cfg.chosen[-1] = "gld(broadcast-fallback)"
+            return _run_gld(phi, var, seeds, env, spark, cfg)
     bc = spark.sparkContext.broadcast(const_pdfs)
 
     n = cfg.num_partitions or spark.sparkContext.defaultParallelism
@@ -239,50 +237,26 @@ def _run_plw(
     seeds = seeds.repartition(n, *part_cols)
     out_schema = seeds.schema
     out_cols = [f.name for f in out_schema.fields]
-    branches = union_branches(phi2)
-    phi_term = union_of(branches)
-
+    phi_term = union_of(union_branches(phi2))
     row_cap = cfg.row_cap
-    if engine == "plw_s":
 
-        def run_partition(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            from . import compiler_pandas as cp
-
-            parts = [p for p in it]
-            if not parts:
-                return
-            local_seeds = pd.concat(parts, ignore_index=True)
-            if local_seeds.empty:
-                return
-            prev = cp.ROW_CAP
-            cp.ROW_CAP = row_cap
-            try:
-                result = seminaive_loop(phi_term, var, local_seeds, bc.value)
-            finally:
-                cp.ROW_CAP = prev
-            yield result[out_cols]
-
-    elif engine == "plw_pg":
-
-        def run_partition(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            from .compiler_sql import DuckdbEvaluator
-
-            parts = [p for p in it]
-            if not parts:
-                return
-            local_seeds = pd.concat(parts, ignore_index=True)
-            if local_seeds.empty:
-                return
+    def run_partition(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        parts = list(it)
+        if not parts:
+            return
+        local_seeds = pd.concat(parts, ignore_index=True)
+        if local_seeds.empty:
+            return
+        if engine == "plw_s":
+            result = seminaive_loop(phi_term, var, local_seeds, bc.value, row_cap)
+        else:
             ev = DuckdbEvaluator({**bc.value, "__seeds": local_seeds}, row_cap=row_cap)
             try:
                 xt = ev.run_seminaive(phi_term, var, "__seeds")
                 result = ev.con.execute(f"SELECT * FROM {xt}").fetchdf()
             finally:
                 ev.con.close()
-            yield result[out_cols]
-
-    else:  # pragma: no cover - guarded by execute_fixpoint
-        raise ValueError(f"unknown P_plw engine {engine!r}")
+        yield result[out_cols]
 
     return seeds.mapInPandas(run_partition, schema=out_schema)
 

@@ -3,7 +3,7 @@ and with hand-computed results, plus property-based random-term tests."""
 import numpy as np
 import pandas as pd
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.compiler_pandas import (
@@ -69,6 +69,11 @@ TERMS = [
     Fix("X", Union_(Rel("S"), compose(Var("X"), Rel("R")))),
     Fix("X", Union_(Rel("S"), compose(Rel("R"), Var("X")))),
     Fix("X", Union_(compose(Rel("R"), Rel("S")), Union_(compose(Rel("R"), Var("X"), "m1"), compose(Var("X"), Rel("S"), "m2")))),
+    # A three-column fixpoint, X(src, dst, k): MultiIndex row keys.
+    Fix("X", Union_(
+        Join(Rel("R"), Rename("dst", "k", Rel("S"))),
+        AntiProject(("m",), Join(Rename("dst", "m", Var("X")), Rename("src", "m", Rel("R")))),
+    )),
 ]
 
 
@@ -166,15 +171,22 @@ class TestSqlCompiler:
         assert rows(a) == rows(b)
 
 
-@settings(max_examples=25, deadline=None)
+# Small ids, plus ids at and past the packed key's 32-bit halves (2³¹,
+# 2³²) and negative ones, where row keys fall back to a MultiIndex.
+NODE = st.integers(0, 8) | st.sampled_from([2**31 - 1, 2**31, 2**32 - 1, 2**32, -1, -(2**31)])
+
+
+@settings(max_examples=50, deadline=None)
 @given(
-    edges=st.lists(
-        st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=40
-    ),
-    seeds=st.lists(
-        st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=10
-    ),
+    edges=st.lists(st.tuples(NODE, NODE), min_size=1, max_size=40),
+    seeds=st.lists(st.tuples(NODE, NODE), min_size=1, max_size=10),
 )
+# Seeds pack, later deltas do not: X's keys switch to a MultiIndex.
+@example(edges=[(1, 2**32), (2**32, -1), (-1, 1)], seeds=[(0, 1)])
+# 2³² must not pack: (0, 2³²) would get the key of (1, 0).
+@example(edges=[(5, 2**32)], seeds=[(1, 0), (0, 5)])
+# a ≥ 2³¹ sets the sign bit of the packed key a << 32 | b.
+@example(edges=[(2**32 - 1, 2**31), (2**31, 0), (0, 2**32 - 1)], seeds=[(2**31, 2**32 - 1)])
 def test_fixpoint_pandas_matches_bruteforce(edges, seeds):
     """Property: semi-naive pandas fixpoint == brute-force closure."""
     e = pd.DataFrame(edges, columns=["src", "dst"]).drop_duplicates(ignore_index=True)

@@ -170,6 +170,18 @@ class TestRowCap:
         msg = str(exc.value).lower()
         assert "row_cap" in msg or "capacityerror" in msg
 
+    @pytest.mark.parametrize("strategy", ["plw_s", "plw_pg"])
+    def test_plw_cap_in_worker(self, spark, strategy):
+        # Chain 0→1→…→20 seeded with all its edges: 20 broadcast rows fit
+        # the cap of 100, the 210-row closure of the one partition does not.
+        chain = pd.DataFrame({"src": range(20), "dst": range(1, 21)})
+        env = {"S": spark.createDataFrame(chain), "E": spark.createDataFrame(chain)}
+        cfg = FixConfig(strategy=strategy, row_cap=100, num_partitions=1)
+        out = eval_spark(right_tc(), env, spark, cfg)
+        assert cfg.chosen == [strategy]
+        with pytest.raises(Exception, match="CapacityError"):
+            out.collect()
+
     def test_plw_broadcast_fallback_records_choice(self, spark, fig2_e, fig2_s):
         env = {"S": spark.createDataFrame(fig2_s), "E": spark.createDataFrame(fig2_e)}
         cfg = FixConfig(strategy="plw_s", row_cap=10_000)
