@@ -36,7 +36,8 @@ class FixConfig:
 
     strategy:
       * ``auto``  — the paper's plan-selection rule (§IV-B-c): P_plw if a
-        stable column exists, else P_gld;
+        stable column exists, else P_gld, which hands a fixpoint whose
+        constants and seeds fit the broadcast budget to one worker;
       * ``gld`` / ``plw_s`` / ``plw_pg`` — force a plan.
     """
 
@@ -47,6 +48,10 @@ class FixConfig:
     # (None = unlimited). Mirrors the paper's crash markers: runaway
     # closures surface as failures instead of unbounded runs.
     row_cap: int | None = None
+    # At most this many rows of φ's constant relations (and, for the P_gld
+    # hand-off, of the seeds) are collected to the driver and broadcast;
+    # also capped by ``row_cap``.
+    broadcast_rows: int = 4_000_000
     # Filled in by plans.execute_fixpoint for observability in tests/benches.
     chosen: list[str] = field(default_factory=list)
 

@@ -18,7 +18,7 @@ distinct counts, so antiprojection/filter selectivities compose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import pandas as pd
 
@@ -39,6 +39,9 @@ from .terms import (
     Var,
     is_constant_in,
 )
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame
 
 
 @dataclass
@@ -74,6 +77,38 @@ class GraphStats:
                 rows=float(len(g)),
                 d={"src": float(g["src"].nunique()), "dst": float(g["dst"].nunique())},
             )
+        return cls(n_nodes=n_nodes, labels=labels, depth=depth)
+
+    @classmethod
+    def from_spark(cls, triples: DataFrame, depth: int = 10) -> "GraphStats":
+        """The statistics of :meth:`from_pandas`, from one Spark aggregate.
+
+        Each triple is exploded into its two endpoints, so a label's row
+        count is half its group's; the rollup's grand-total row holds the
+        distinct node count.
+        """
+        from pyspark.sql import functions as F
+
+        rows = (
+            triples.select("label", "src", "dst", F.explode(F.array("src", "dst")).alias("node"))
+            .rollup("label")
+            .agg(
+                F.grouping("label").alias("total"),
+                (F.count("*") / 2).alias("rows"),
+                F.countDistinct("src").alias("src"),
+                F.countDistinct("dst").alias("dst"),
+                F.countDistinct("node").alias("nodes"),
+            )
+            .collect()
+        )
+        n_nodes, labels = 0, {}
+        for r in rows:
+            if r["total"]:
+                n_nodes = int(r["nodes"])
+            else:
+                labels[str(r["label"])] = Est(
+                    rows=float(r["rows"]), d={"src": float(r["src"]), "dst": float(r["dst"])}
+                )
         return cls(n_nodes=n_nodes, labels=labels, depth=depth)
 
 

@@ -310,7 +310,7 @@ def evaluate_ucrpq(
 ) -> DataFrame:
     """Plan and run a UCRPQ against a (src,label,dst) triples DataFrame."""
     if stats is None:
-        stats = GraphStats.from_pandas(graph.toPandas())
+        stats = GraphStats.from_spark(graph)
     report = plan_crpq(query, stats, consts)
     cfg = cfg or FixConfig()
     out = eval_spark(report.term, {GRAPH: graph}, spark, cfg)

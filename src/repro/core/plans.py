@@ -22,6 +22,11 @@ Two plan families:
 
 Plan selection (``strategy="auto"``) is the paper's rule §IV-B-c:
 stable column exists → repartition by it and run P_plw, else P_gld.
+Under ``auto``, P_gld first checks at iteration 0 whether φ's constant
+relations and the seeds X₀ together fit the broadcast budget; if they
+do, the whole fixpoint runs as one partition-local loop on one worker
+(Proposition 3 with a single part: no stable column, no final distinct).
+X only grows, so a fixpoint whose X₀ does not fit never will.
 """
 from __future__ import annotations
 
@@ -52,10 +57,6 @@ from .terms import (
 )
 
 _CONST_PREFIX = "__bc_"
-
-# Above this many broadcast rows, P_plw falls back to P_gld (a local[*]
-# driver cannot collect/broadcast arbitrarily large step relations).
-BROADCAST_ROW_LIMIT = 4_000_000
 
 
 def extract_constants(phi: Term, var: str) -> tuple[Term, dict[str, Term]]:
@@ -118,11 +119,14 @@ def execute_fixpoint(
     if strategy in ("plw_s", "plw_pg") and not stable:
         # Forced P_plw without a stable column would lose the
         # disjointness guarantee; the paper never does this — fall back.
-        strategy = "gld"
+        cfg.chosen.append("gld(no-stable-column)")
+        return _run_gld(phi, fix.var, seeds, env, spark, cfg)
     cfg.chosen.append(strategy)
 
     if strategy == "gld":
-        return _run_gld(phi, fix.var, seeds, env, spark, cfg)
+        return _run_gld(
+            phi, fix.var, seeds, env, spark, cfg, hand_off=cfg.strategy == "auto"
+        )
     return _run_plw(
         phi, fix.var, seeds, sorted(stable), env, spark, cfg, engine=strategy
     )
@@ -157,19 +161,32 @@ def _run_gld(
     env: Mapping[str, DataFrame],
     spark: SparkSession,
     cfg: FixConfig,
+    hand_off: bool = False,
 ) -> DataFrame:
-    """Driver loop; distributed ∪/∖ with a distinct per iteration."""
+    """Driver loop; distributed ∪/∖ with a distinct per iteration.
+
+    With ``hand_off``, a fixpoint whose constants and X₀ fit the broadcast
+    budget runs instead as one local loop on one worker.
+    """
+    phi2, consts = extract_constants(phi, var)
+    const_dfs = {name: eval_spark(t, env, spark, cfg) for name, t in consts.items()}
+    x = seeds.localCheckpoint()
+    total = None
+    if hand_off:
+        total = x.count()
+        bcast = _collect_constants(phi2, var, const_dfs, env, _broadcast_budget(cfg) - total)
+        if bcast is not None:
+            cfg.chosen[-1] = "gld→local"
+            return _local_loops(x.coalesce(1), phi2, var, spark, bcast, "plw_s", cfg.row_cap)
+
     # Materialize the constant relations of φ once (they are re-read at
     # every iteration).
-    phi2, consts = extract_constants(phi, var)
     cenv = dict(env)
-    for name, t in consts.items():
-        cenv[name] = eval_spark(t, env, spark, cfg).localCheckpoint()
+    for name, df in const_dfs.items():
+        cenv[name] = df.localCheckpoint()
     branches = union_branches(phi2)
     cols = list(seeds.columns)
 
-    x = seeds.localCheckpoint()
-    total = None
     new = x
     for _ in range(cfg.max_iterations):
         delta = _eval_phi_distributed(branches, var, new, cenv, spark, cfg)
@@ -209,36 +226,73 @@ def _run_plw(
     if engine not in ("plw_s", "plw_pg"):
         raise ValueError(f"unknown P_plw engine {engine!r}")
     phi2, consts = extract_constants(phi, var)
-    # Evaluate φ's constant relations once and broadcast them. Bare Rel
-    # leaves referenced by φ are broadcast from env directly. Each is
-    # collected once, at most one row past what is left of the broadcast
-    # budget; if the relations overrun it, fall back to P_gld (distributed
-    # shuffle joins) — the same family of decisions a join planner makes
-    # between broadcast and shuffle joins.
-    const_dfs: dict[str, DataFrame] = {
-        name: eval_spark(t, env, spark, cfg) for name, t in consts.items()
-    }
-    for s in _rel_leaves(phi2):
-        if s.name not in consts and s.name != var:
-            const_dfs[s.name] = env[s.name]
-    budget = BROADCAST_ROW_LIMIT if cfg.row_cap is None else min(cfg.row_cap, BROADCAST_ROW_LIMIT)
-    const_pdfs: dict[str, pd.DataFrame] = {}
-    for name, df in const_dfs.items():
-        const_pdfs[name] = df.limit(budget + 1).toPandas()
-        budget -= len(const_pdfs[name])
-        if budget < 0:
-            cfg.chosen[-1] = "gld(broadcast-fallback)"
-            return _run_gld(phi, var, seeds, env, spark, cfg)
-    bc = spark.sparkContext.broadcast(const_pdfs)
+    # If φ's constant relations overrun the broadcast budget, fall back to
+    # P_gld (distributed shuffle joins) — the same family of decisions a
+    # join planner makes between broadcast and shuffle joins.
+    const_dfs = {name: eval_spark(t, env, spark, cfg) for name, t in consts.items()}
+    bcast = _collect_constants(phi2, var, const_dfs, env, _broadcast_budget(cfg))
+    if bcast is None:
+        cfg.chosen[-1] = "gld(broadcast-fallback)"
+        return _run_gld(phi, var, seeds, env, spark, cfg)
 
     n = cfg.num_partitions or spark.sparkContext.defaultParallelism
     # Hash-repartition the constant part by the stable column(s):
     # Proposition 3 + stability ⇒ partition-local fixpoints are disjoint.
     seeds = seeds.repartition(n, *part_cols)
-    out_schema = seeds.schema
-    out_cols = [f.name for f in out_schema.fields]
+    return _local_loops(seeds, phi2, var, spark, bcast, engine, cfg.row_cap)
+
+
+# ---------------------------------------------------------------------------
+# Shared by P_plw and the P_gld hand-off
+# ---------------------------------------------------------------------------
+
+
+def _broadcast_budget(cfg: FixConfig) -> int:
+    if cfg.row_cap is None:
+        return cfg.broadcast_rows
+    return min(cfg.row_cap, cfg.broadcast_rows)
+
+
+def _collect_constants(
+    phi2: Term,
+    var: str,
+    const_dfs: Mapping[str, DataFrame],
+    env: Mapping[str, DataFrame],
+    budget: int,
+) -> dict[str, pd.DataFrame] | None:
+    """The relations φ reads besides ``var`` — the extracted constant
+    subterms and φ's bare Rel leaves, taken from env — as pandas frames.
+    Each is collected once, at most one row past what is left of
+    ``budget``; None once they overrun it."""
+    if budget < 0:
+        return None
+    dfs = dict(const_dfs)
+    for s in _rel_leaves(phi2):
+        if s.name not in dfs and s.name != var:
+            dfs[s.name] = env[s.name]
+    out: dict[str, pd.DataFrame] = {}
+    for name, df in dfs.items():
+        out[name] = df.limit(budget + 1).toPandas()
+        budget -= len(out[name])
+        if budget < 0:
+            return None
+    return out
+
+
+def _local_loops(
+    seeds: DataFrame,
+    phi2: Term,
+    var: str,
+    spark: SparkSession,
+    consts: dict[str, pd.DataFrame],
+    engine: str,
+    row_cap: int | None,
+) -> DataFrame:
+    """Run φ's semi-naive loop over each partition of ``seeds`` on its
+    worker, with ``consts`` broadcast."""
+    bc = spark.sparkContext.broadcast(consts)
     phi_term = union_of(union_branches(phi2))
-    row_cap = cfg.row_cap
+    out_cols = seeds.columns
 
     def run_partition(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         parts = list(it)
@@ -258,7 +312,7 @@ def _run_plw(
                 ev.con.close()
         yield result[out_cols]
 
-    return seeds.mapInPandas(run_partition, schema=out_schema)
+    return seeds.mapInPandas(run_partition, schema=seeds.schema)
 
 
 def _rel_leaves(t: Term):

@@ -4,9 +4,11 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.compiler_spark import FixConfig
+from repro.core.cost import GraphStats
 from repro.core.planner import evaluate_ucrpq
 from repro.core.reference import eval_crpq
 from repro.core.rpq import parse_query
+from repro.graphs.yago import yago_lite
 from repro.oracle import assert_equivalent
 
 QUERIES = [
@@ -41,6 +43,14 @@ def test_gld_forced_matches_auto(spark, spark_triples, small_triples_list):
     auto = evaluate_ucrpq(spark, q, spark_triples).toPandas()
     gld = evaluate_ucrpq(spark, q, spark_triples, cfg=FixConfig(strategy="gld")).toPandas()
     assert set(auto["v_x"]) == set(gld["v_x"])
+
+
+def test_graph_stats_from_spark_matches_pandas(spark, fig2_e):
+    fig2 = fig2_e.assign(label=["a", "b"] * 5)[["src", "label", "dst"]]
+    yago, _ = yago_lite(300, seed=1)
+    for tri in (fig2, yago):
+        got = GraphStats.from_spark(spark.createDataFrame(tri))
+        assert got == GraphStats.from_pandas(tri)
 
 
 class TestOracle:

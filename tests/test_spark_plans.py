@@ -45,10 +45,9 @@ def test_auto_selects_plw_on_stable_column(spark, fig2_e, fig2_s):
     assert cfg.chosen == ["plw_s"]
 
 
-def test_auto_falls_back_to_gld_without_stable_column(spark, fig2_e):
-    # merged-style fixpoint: both columns change → P_gld (paper §IV-B-c)
-    e = spark.createDataFrame(fig2_e)
-    fix = Fix(
+def merged_fix():
+    # merged-style fixpoint: both columns change, so no stable column
+    return Fix(
         "Z",
         Union_(
             compose(Rel("E"), Rel("E")),
@@ -57,27 +56,41 @@ def test_auto_falls_back_to_gld_without_stable_column(spark, fig2_e):
             ),
         ),
     )
+
+
+def test_auto_falls_back_to_gld_without_stable_column(spark, fig2_e):
+    # No stable column → P_gld (paper §IV-B-c); its 20 constant rows and 7
+    # seeds fit the broadcast budget, so it runs as one local loop.
     cfg = FixConfig(strategy="auto")
-    got = eval_spark(fix, {"E": e}, spark, cfg).toPandas()
-    assert cfg.chosen == ["gld"]
-    want = eval_pandas(fix, {"E": fig2_e.copy()})
+    out = eval_spark(merged_fix(), {"E": spark.createDataFrame(fig2_e)}, spark, cfg)
+    got = out.toPandas()
+    assert cfg.chosen == ["gld→local"]
+    want = eval_pandas(merged_fix(), {"E": fig2_e.copy()})
     assert pairs(got) == pairs(want)
+    assert len(got) == len(set(pairs(got)))
+
+
+def test_forced_gld_runs_distributed_loop(spark, fig2_e):
+    cfg = FixConfig(strategy="gld")
+    got = eval_spark(merged_fix(), {"E": spark.createDataFrame(fig2_e)}, spark, cfg)
+    assert cfg.chosen == ["gld"]
+    assert pairs(got.toPandas()) == pairs(eval_pandas(merged_fix(), {"E": fig2_e.copy()}))
+
+
+@pytest.mark.parametrize("budget", [5, 25])
+def test_no_hand_off_when_seeds_overrun_broadcast_budget(spark, fig2_e, budget):
+    # 5 rows hold fewer than the 7 seeds (the 2-edge paths); 25 hold the 20
+    # constant rows but not the seeds as well. The distributed loop runs.
+    cfg = FixConfig(strategy="auto", broadcast_rows=budget)
+    got = eval_spark(merged_fix(), {"E": spark.createDataFrame(fig2_e)}, spark, cfg)
+    assert cfg.chosen == ["gld"]
+    assert pairs(got.toPandas()) == pairs(eval_pandas(merged_fix(), {"E": fig2_e.copy()}))
 
 
 def test_forced_plw_without_stable_column_falls_back(spark, fig2_e):
-    e = spark.createDataFrame(fig2_e)
-    fix = Fix(
-        "Z",
-        Union_(
-            compose(Rel("E"), Rel("E")),
-            Union_(
-                compose(Rel("E"), Var("Z"), "m1"), compose(Var("Z"), Rel("E"), "m2")
-            ),
-        ),
-    )
     cfg = FixConfig(strategy="plw_s")
-    eval_spark(fix, {"E": e}, spark, cfg).collect()
-    assert cfg.chosen == ["gld"]
+    eval_spark(merged_fix(), {"E": spark.createDataFrame(fig2_e)}, spark, cfg).collect()
+    assert cfg.chosen == ["gld(no-stable-column)"]
 
 
 @pytest.mark.parametrize("strategy", ["gld", "plw_s", "plw_pg"])
@@ -182,17 +195,20 @@ class TestRowCap:
         with pytest.raises(Exception, match="CapacityError"):
             out.collect()
 
+    def test_gld_hand_off_cap_in_worker(self, spark):
+        # The merged fixpoint on the chain 0→1→…→20: 40 constant rows and
+        # 19 seeds fit the cap of 100, the 190-row closure does not.
+        chain = pd.DataFrame({"src": range(20), "dst": range(1, 21)})
+        cfg = FixConfig(strategy="auto", row_cap=100)
+        out = eval_spark(merged_fix(), {"E": spark.createDataFrame(chain)}, spark, cfg)
+        assert cfg.chosen == ["gld→local"]
+        with pytest.raises(Exception, match="CapacityError"):
+            out.collect()
+
     def test_plw_broadcast_fallback_records_choice(self, spark, fig2_e, fig2_s):
         env = {"S": spark.createDataFrame(fig2_s), "E": spark.createDataFrame(fig2_e)}
-        cfg = FixConfig(strategy="plw_s", row_cap=10_000)
-        import repro.core.plans as plans
-
-        old = plans.BROADCAST_ROW_LIMIT
-        plans.BROADCAST_ROW_LIMIT = 1  # force the fallback
-        try:
-            out = eval_spark(right_tc(), env, spark, cfg).toPandas()
-        finally:
-            plans.BROADCAST_ROW_LIMIT = old
+        cfg = FixConfig(strategy="plw_s", row_cap=10_000, broadcast_rows=1)
+        out = eval_spark(right_tc(), env, spark, cfg).toPandas()
         assert cfg.chosen == ["gld(broadcast-fallback)"]
         assert pairs(out) == FIG2_FIXPOINT
 
