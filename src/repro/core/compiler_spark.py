@@ -36,8 +36,9 @@ class FixConfig:
 
     strategy:
       * ``auto``  — the paper's plan-selection rule (§IV-B-c): P_plw if a
-        stable column exists, else P_gld, which hands a fixpoint whose
-        constants and seeds fit the broadcast budget to one worker;
+        stable column exists, else P_gld, first tried as P_plw^s over one
+        partition (``gld→local``) when φ's constants fit the broadcast
+        budget;
       * ``gld`` / ``plw_s`` / ``plw_pg`` — force a plan.
     """
 
@@ -48,9 +49,8 @@ class FixConfig:
     # (None = unlimited). Mirrors the paper's crash markers: runaway
     # closures surface as failures instead of unbounded runs.
     row_cap: int | None = None
-    # At most this many rows of φ's constant relations (and, for the P_gld
-    # hand-off, of the seeds) are collected to the driver and broadcast;
-    # also capped by ``row_cap``.
+    # At most this many rows of φ's constant relations are collected to
+    # the driver and broadcast; also capped by ``row_cap``.
     broadcast_rows: int = 4_000_000
     # Filled in by plans.execute_fixpoint for observability in tests/benches.
     chosen: list[str] = field(default_factory=list)

@@ -22,11 +22,11 @@ Two plan families:
 
 Plan selection (``strategy="auto"``) is the paper's rule §IV-B-c:
 stable column exists → repartition by it and run P_plw, else P_gld.
-Under ``auto``, P_gld first checks at iteration 0 whether φ's constant
-relations and the seeds X₀ together fit the broadcast budget; if they
-do, the whole fixpoint runs as one partition-local loop on one worker
-(Proposition 3 with a single part: no stable column, no final distinct).
-X only grows, so a fixpoint whose X₀ does not fit never will.
+Under ``auto``, a fixpoint without a stable column first tries P_plw^s
+with all seeds in one partition (``gld→local``: Proposition 3 with a
+single part needs no stable column and no final distinct); like any
+P_plw, it falls back to P_gld when φ's constant relations overrun the
+broadcast budget.
 """
 from __future__ import annotations
 
@@ -112,24 +112,28 @@ def execute_fixpoint(
     env_schemas = {k: frozenset(df.columns) for k, df in env.items()}
     x_schema = frozenset(seeds.columns)
     stable = stable_columns(phi, fix.var, env_schemas, x_schema)
+    # Evaluate φ's constant relations once, at their first use; every plan
+    # reads them.
+    phi2, consts = extract_constants(phi, fix.var)
+    cenv = dict(env)
+    for name, t in consts.items():
+        cenv[name] = eval_spark(t, env, spark, cfg).localCheckpoint(eager=False)
 
     strategy = cfg.strategy
     if strategy == "auto":
-        strategy = "plw_s" if stable else "gld"
+        strategy = "plw_s" if stable else "gld→local"
     if strategy in ("plw_s", "plw_pg") and not stable:
         # Forced P_plw without a stable column would lose the
         # disjointness guarantee; the paper never does this — fall back.
         cfg.chosen.append("gld(no-stable-column)")
-        return _run_gld(phi, fix.var, seeds, env, spark, cfg)
+        return _run_gld(phi2, fix.var, seeds, cenv, spark, cfg)
     cfg.chosen.append(strategy)
 
     if strategy == "gld":
-        return _run_gld(
-            phi, fix.var, seeds, env, spark, cfg, hand_off=cfg.strategy == "auto"
-        )
-    return _run_plw(
-        phi, fix.var, seeds, sorted(stable), env, spark, cfg, engine=strategy
-    )
+        return _run_gld(phi2, fix.var, seeds, cenv, spark, cfg)
+    if strategy == "gld→local":
+        return _run_plw(phi2, fix.var, seeds, [], cenv, spark, cfg, "plw_s")
+    return _run_plw(phi2, fix.var, seeds, sorted(stable), cenv, spark, cfg, strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -155,38 +159,19 @@ def _eval_phi_distributed(
 
 
 def _run_gld(
-    phi: Term,
+    phi2: Term,
     var: str,
     seeds: DataFrame,
-    env: Mapping[str, DataFrame],
+    cenv: Mapping[str, DataFrame],
     spark: SparkSession,
     cfg: FixConfig,
-    hand_off: bool = False,
 ) -> DataFrame:
-    """Driver loop; distributed ∪/∖ with a distinct per iteration.
-
-    With ``hand_off``, a fixpoint whose constants and X₀ fit the broadcast
-    budget runs instead as one local loop on one worker.
-    """
-    phi2, consts = extract_constants(phi, var)
-    const_dfs = {name: eval_spark(t, env, spark, cfg) for name, t in consts.items()}
-    x = seeds.localCheckpoint()
-    total = None
-    if hand_off:
-        total = x.count()
-        bcast = _collect_constants(phi2, var, const_dfs, env, _broadcast_budget(cfg) - total)
-        if bcast is not None:
-            cfg.chosen[-1] = "gld→local"
-            return _local_loops(x.coalesce(1), phi2, var, spark, bcast, "plw_s", cfg.row_cap)
-
-    # Materialize the constant relations of φ once (they are re-read at
-    # every iteration).
-    cenv = dict(env)
-    for name, df in const_dfs.items():
-        cenv[name] = df.localCheckpoint()
+    """Driver loop; distributed ∪/∖ with a distinct per iteration."""
     branches = union_branches(phi2)
     cols = list(seeds.columns)
 
+    x = seeds.localCheckpoint()
+    total = None
     new = x
     for _ in range(cfg.max_iterations):
         delta = _eval_phi_distributed(branches, var, new, cenv, spark, cfg)
@@ -209,90 +194,49 @@ def _run_gld(
 
 
 # ---------------------------------------------------------------------------
-# P_plw (both implementations)
+# P_plw (both implementations, and the single-partition P_gld hand-off)
 # ---------------------------------------------------------------------------
 
 
 def _run_plw(
-    phi: Term,
+    phi2: Term,
     var: str,
     seeds: DataFrame,
     part_cols: list[str],
-    env: Mapping[str, DataFrame],
+    cenv: Mapping[str, DataFrame],
     spark: SparkSession,
     cfg: FixConfig,
     engine: str,
 ) -> DataFrame:
+    """Run φ's semi-naive loop on each worker over its partition of
+    ``seeds``, with the relations φ reads besides ``var`` broadcast.
+
+    Without ``part_cols`` the seeds form one partition: Proposition 3 with
+    a single part, which is disjoint from nothing, so it needs no stable
+    column (the P_gld hand-off).
+    """
     if engine not in ("plw_s", "plw_pg"):
         raise ValueError(f"unknown P_plw engine {engine!r}")
-    phi2, consts = extract_constants(phi, var)
-    # If φ's constant relations overrun the broadcast budget, fall back to
-    # P_gld (distributed shuffle joins) — the same family of decisions a
-    # join planner makes between broadcast and shuffle joins.
-    const_dfs = {name: eval_spark(t, env, spark, cfg) for name, t in consts.items()}
-    bcast = _collect_constants(phi2, var, const_dfs, env, _broadcast_budget(cfg))
-    if bcast is None:
-        cfg.chosen[-1] = "gld(broadcast-fallback)"
-        return _run_gld(phi, var, seeds, env, spark, cfg)
+    rels = {s.name: cenv[s.name] for s in _rel_leaves(phi2) if s.name != var}
+    # If those relations overrun the broadcast budget, fall back to P_gld
+    # (distributed shuffle joins) — the same family of decisions a join
+    # planner makes between broadcast and shuffle joins. They are counted
+    # before anything is collected, so a fallback collects nothing.
+    budget = cfg.broadcast_rows if cfg.row_cap is None else min(cfg.row_cap, cfg.broadcast_rows)
+    for df in rels.values():
+        budget -= df.count()
+        if budget < 0:
+            cfg.chosen[-1] = "gld(broadcast-fallback)"
+            return _run_gld(phi2, var, seeds, cenv, spark, cfg)
 
-    n = cfg.num_partitions or spark.sparkContext.defaultParallelism
+    n = (cfg.num_partitions or spark.sparkContext.defaultParallelism) if part_cols else 1
     # Hash-repartition the constant part by the stable column(s):
     # Proposition 3 + stability ⇒ partition-local fixpoints are disjoint.
     seeds = seeds.repartition(n, *part_cols)
-    return _local_loops(seeds, phi2, var, spark, bcast, engine, cfg.row_cap)
-
-
-# ---------------------------------------------------------------------------
-# Shared by P_plw and the P_gld hand-off
-# ---------------------------------------------------------------------------
-
-
-def _broadcast_budget(cfg: FixConfig) -> int:
-    if cfg.row_cap is None:
-        return cfg.broadcast_rows
-    return min(cfg.row_cap, cfg.broadcast_rows)
-
-
-def _collect_constants(
-    phi2: Term,
-    var: str,
-    const_dfs: Mapping[str, DataFrame],
-    env: Mapping[str, DataFrame],
-    budget: int,
-) -> dict[str, pd.DataFrame] | None:
-    """The relations φ reads besides ``var`` — the extracted constant
-    subterms and φ's bare Rel leaves, taken from env — as pandas frames.
-    Each is collected once, at most one row past what is left of
-    ``budget``; None once they overrun it."""
-    if budget < 0:
-        return None
-    dfs = dict(const_dfs)
-    for s in _rel_leaves(phi2):
-        if s.name not in dfs and s.name != var:
-            dfs[s.name] = env[s.name]
-    out: dict[str, pd.DataFrame] = {}
-    for name, df in dfs.items():
-        out[name] = df.limit(budget + 1).toPandas()
-        budget -= len(out[name])
-        if budget < 0:
-            return None
-    return out
-
-
-def _local_loops(
-    seeds: DataFrame,
-    phi2: Term,
-    var: str,
-    spark: SparkSession,
-    consts: dict[str, pd.DataFrame],
-    engine: str,
-    row_cap: int | None,
-) -> DataFrame:
-    """Run φ's semi-naive loop over each partition of ``seeds`` on its
-    worker, with ``consts`` broadcast."""
-    bc = spark.sparkContext.broadcast(consts)
+    bc = spark.sparkContext.broadcast({name: df.toPandas() for name, df in rels.items()})
     phi_term = union_of(union_branches(phi2))
     out_cols = seeds.columns
+    row_cap = cfg.row_cap
 
     def run_partition(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         parts = list(it)

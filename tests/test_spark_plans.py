@@ -59,8 +59,8 @@ def merged_fix():
 
 
 def test_auto_falls_back_to_gld_without_stable_column(spark, fig2_e):
-    # No stable column → P_gld (paper §IV-B-c); its 20 constant rows and 7
-    # seeds fit the broadcast budget, so it runs as one local loop.
+    # No stable column → P_gld (paper §IV-B-c); its 20 constant rows fit
+    # the broadcast budget, so it runs as one local loop on one worker.
     cfg = FixConfig(strategy="auto")
     out = eval_spark(merged_fix(), {"E": spark.createDataFrame(fig2_e)}, spark, cfg)
     got = out.toPandas()
@@ -77,13 +77,18 @@ def test_forced_gld_runs_distributed_loop(spark, fig2_e):
     assert pairs(got.toPandas()) == pairs(eval_pandas(merged_fix(), {"E": fig2_e.copy()}))
 
 
-@pytest.mark.parametrize("budget", [5, 25])
-def test_no_hand_off_when_seeds_overrun_broadcast_budget(spark, fig2_e, budget):
-    # 5 rows hold fewer than the 7 seeds (the 2-edge paths); 25 hold the 20
-    # constant rows but not the seeds as well. The distributed loop runs.
+@pytest.mark.parametrize("budget", [5, 15])
+def test_no_hand_off_when_constants_overrun_broadcast_budget(
+    spark, fig2_e, budget, monkeypatch
+):
+    # The two 10-row constant relations overrun 5 and 15 rows: the
+    # distributed loop runs, and nothing is collected to the driver first.
     cfg = FixConfig(strategy="auto", broadcast_rows=budget)
-    got = eval_spark(merged_fix(), {"E": spark.createDataFrame(fig2_e)}, spark, cfg)
-    assert cfg.chosen == ["gld"]
+    env = {"E": spark.createDataFrame(fig2_e)}
+    with monkeypatch.context() as m:
+        m.setattr(type(env["E"]), "toPandas", lambda self: pytest.fail("collected"))
+        got = eval_spark(merged_fix(), env, spark, cfg)
+    assert cfg.chosen == ["gld(broadcast-fallback)"]
     assert pairs(got.toPandas()) == pairs(eval_pandas(merged_fix(), {"E": fig2_e.copy()}))
 
 
@@ -196,8 +201,8 @@ class TestRowCap:
             out.collect()
 
     def test_gld_hand_off_cap_in_worker(self, spark):
-        # The merged fixpoint on the chain 0→1→…→20: 40 constant rows and
-        # 19 seeds fit the cap of 100, the 190-row closure does not.
+        # The merged fixpoint on the chain 0→1→…→20: its 40 constant rows
+        # fit the cap of 100, the 190-row closure does not.
         chain = pd.DataFrame({"src": range(20), "dst": range(1, 21)})
         cfg = FixConfig(strategy="auto", row_cap=100)
         out = eval_spark(merged_fix(), {"E": spark.createDataFrame(chain)}, spark, cfg)
