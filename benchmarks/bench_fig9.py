@@ -5,7 +5,8 @@ import pytest
 
 from repro.baselines.bigdatalog import eval_crpq_bigdatalog
 from repro.baselines.centralized import eval_term_centralized
-from repro.bench.suites import _dist
+from repro.bench.suites import FIXPOINT_CAP, _dist
+from repro.core.compiler_spark import FixConfig
 from repro.core.paper_queries import YAGO_QUERIES
 from repro.core.planner import plan_crpq
 from repro.core.rpq import parse_query
@@ -25,7 +26,9 @@ def test_dist_mura(benchmark, spark, yago5k):
 def test_dist_mura_gld(benchmark, spark, yago5k):
     tri, consts, gdf, stats = yago5k
     q = parse_query(YAGO_QUERIES[QID])
-    run = lambda: _dist(spark, gdf, stats, q, consts, strategy="gld").count()
+    run = lambda: _dist(
+        spark, gdf, stats, q, consts, FixConfig(strategy="gld", row_cap=FIXPOINT_CAP)
+    ).count()
     assert benchmark.pedantic(run, rounds=1, iterations=1) >= 0
 
 

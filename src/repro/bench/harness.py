@@ -58,6 +58,12 @@ def format_row(m: Measurement) -> str:
     return f"  {m.dataset:<16} {m.query:<10} {m.system:<18} {t} rows={r} {m.note}"
 
 
+def fell_back(m: Measurement) -> str:
+    """The first fallback label (``gld(<reason>)``) among the plans listed
+    in ``m.note``, or "" if no fixpoint of the run fell back."""
+    return next((p for p in m.note.split(", ") if p.startswith("gld(")), "")
+
+
 def format_table(title: str, ms: list[Measurement]) -> str:
     """Markdown table: rows = (dataset, query), columns = systems."""
     systems = sorted({m.system for m in ms})
@@ -80,7 +86,7 @@ def format_table(title: str, ms: list[Measurement]) -> str:
             elif m.seconds is None:
                 cells.append("fail")
             else:
-                cells.append(f"{m.seconds:.2f}s")
+                cells.append(fell_back(m) or f"{m.seconds:.2f}s")
                 if m.rows is not None:
                     rows_val = str(m.rows)
         lines.append(f"| {ds} | {q} | " + " | ".join(cells) + f" | {rows_val} |")

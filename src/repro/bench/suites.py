@@ -88,10 +88,11 @@ def warmup_spark(spark: SparkSession) -> None:
     df.localCheckpoint().count()
 
 
-def _dist(spark, gdf, stats, q, consts, strategy="auto", row_cap=FIXPOINT_CAP):
-    cfg = FixConfig(strategy=strategy, row_cap=row_cap)
+def _dist(spark, gdf, stats, q, consts, cfg: FixConfig | None = None):
+    """plan_crpq + eval_spark; ``cfg`` (default: ``auto`` under
+    FIXPOINT_CAP) records the plan each fixpoint ran in ``cfg.chosen``."""
     report = plan_crpq(q, stats, consts)
-    return eval_spark(report.term, {GRAPH: gdf}, spark, cfg)
+    return eval_spark(report.term, {GRAPH: gdf}, spark, cfg or FixConfig(row_cap=FIXPOINT_CAP))
 
 
 def yago_bundle(spark: SparkSession, n_edges: int, seed: int = 0):
@@ -128,7 +129,9 @@ def run_query_suite(
             if system == "dist-mura":
                 fn = lambda: _dist(spark, gdf, stats, q, consts)
             elif system == "dist-mura-gld":
-                fn = lambda: _dist(spark, gdf, stats, q, consts, strategy="gld")
+                fn = lambda: _dist(
+                    spark, gdf, stats, q, consts, FixConfig(strategy="gld", row_cap=FIXPOINT_CAP)
+                )
             elif system == "bigdatalog":
                 fn = lambda: eval_crpq_bigdatalog(
                     spark, gdf, q, consts, cfg=FixConfig(row_cap=FIXPOINT_CAP)
@@ -156,10 +159,18 @@ def _centralized(tri, stats, q, consts):
 # Fig. 7 — P_plw^s vs P_plw^pg on Yago
 # ---------------------------------------------------------------------------
 
-FIG7_QUERIES = ["Q1", "Q8", "Q9", "Q19", "Q22", "Q24"]
+# The paper's Fig. 7 queries, then Yago queries whose fixpoints all have a
+# stable column. Of the paper's six, all but Q1 have a fixpoint without
+# one, which runs as P_gld whatever plan is forced; the table prints those
+# cells as the fallback reason.
+FIG7_QUERIES = ["Q1", "Q8", "Q9", "Q19", "Q22", "Q24", "Q4", "Q12", "Q14", "Q15"]
 
 
 def run_fig7(spark: SparkSession, n_edges: int | None = None) -> list[Measurement]:
+    """Each measurement's note lists the plan every fixpoint ran
+    (``cfg.chosen``): a forced P_plw without a stable column runs P_gld
+    and records why, and :func:`format_table` prints that reason in place
+    of the time."""
     n_edges = n_edges or (60_000 if bench_scale() == "bench" else 3_000)
     tri, consts, gdf, stats = yago_bundle(spark, n_edges)
     warmup_spark(spark)
@@ -167,14 +178,13 @@ def run_fig7(spark: SparkSession, n_edges: int | None = None) -> list[Measuremen
     for qid in FIG7_QUERIES:
         q = parse_query(YAGO_QUERIES[qid])
         for strategy, name in (("plw_s", "plw-setrdd"), ("plw_pg", "plw-duckdb")):
-            out.append(
-                measure(
-                    name,
-                    qid,
-                    f"yago_lite_{n_edges}",
-                    lambda s=strategy: _dist(spark, gdf, stats, q, consts, strategy=s),
-                )
+            cfg = FixConfig(strategy=strategy, row_cap=FIXPOINT_CAP)
+            m = measure(
+                name, qid, f"yago_lite_{n_edges}", lambda: _dist(spark, gdf, stats, q, consts, cfg)
             )
+            if m.seconds is not None:
+                m.note = ", ".join(cfg.chosen)
+            out.append(m)
     return out
 
 

@@ -231,6 +231,8 @@ class DuckdbEvaluator:
         phi_sql = " UNION ".join(
             f"({to_sql(b, self.env, {**bound, var: dt})})" for b in branches
         )
+        if self.row_cap is not None:
+            size = self.con.execute(f"SELECT count(*) FROM {xt}").fetchone()[0]
         for _ in range(MAX_ITERATIONS):
             self.con.execute(
                 f"CREATE OR REPLACE TEMP TABLE {dt}__next AS "
@@ -243,8 +245,9 @@ class DuckdbEvaluator:
                 return xt
             self.con.execute(f"INSERT INTO {xt} SELECT {cols} FROM {dt}")
             if self.row_cap is not None:
-                sz = self.con.execute(f"SELECT count(*) FROM {xt}").fetchone()[0]
-                if sz > self.row_cap:
+                # The new rows are disjoint from X: keep |X| as a running total.
+                size += n
+                if size > self.row_cap:
                     from .compiler_pandas import CapacityError
 
                     raise CapacityError(f"fixpoint exceeded row_cap={self.row_cap}")

@@ -42,6 +42,15 @@ class TestHarness:
         table = format_table("T", ms)
         assert "fail" in table and "1.50s" in table
 
+    def test_format_table_prints_fallback_reason(self):
+        ms = [
+            Measurement("a", "q1", "d", 1.5, 10, "plw_s, gld(no-stable-column)"),
+            Measurement("a", "q2", "d", 2.5, 10, "plw_s, plw_s"),
+        ]
+        table = format_table("T", ms)
+        assert "| q1 | gld(no-stable-column) |" in table and "1.50s" not in table
+        assert "2.50s" in table
+
     def test_format_row_fail(self):
         assert "fail" in format_row(Measurement("s", "q", "d", None))
 
@@ -61,6 +70,14 @@ class TestSuitesTiny:
         for m in ms:
             by_q.setdefault(m.query, set()).add(m.rows)
         assert all(len(v) == 1 for v in by_q.values())
+        # each note lists the plan every fixpoint ran: the forced one, or
+        # the fallback, which the table prints in place of the time
+        forced = {"plw-setrdd": "plw_s", "plw-duckdb": "plw_pg"}
+        for m in ms:
+            assert set(m.note.split(", ")) <= {forced[m.system], "gld(no-stable-column)"}
+        q9 = [m for m in ms if m.query == "Q9"]
+        assert all(m.note == "gld(no-stable-column)" for m in q9)
+        assert "| Q9 | gld(no-stable-column) | gld(no-stable-column) |" in format_table("Fig. 7", ms)
 
     def test_query_suite_systems_agree(self, spark):
         tri, consts, gdf, stats = yago_bundle(spark, 1200, seed=1)
