@@ -27,6 +27,7 @@ from .terms import (
     Term,
     Union_,
     Var,
+    pinned,
 )
 
 
@@ -89,7 +90,8 @@ def _eval(
         r = _eval(t.right, env, spark, cfg)
         shared = sorted(set(l.columns) & set(r.columns))
         if not shared:
-            return l if r.isEmpty() else l.limit(0)
+            # l if r is empty, else nothing; lazy, so no job runs here.
+            return l.join(r.limit(1).select(), how="left_anti")
         return l.join(r.select(*shared), on=shared, how="left_anti")
     if isinstance(t, Filter):
         df = _eval(t.child, env, spark, cfg)
@@ -99,7 +101,12 @@ def _eval(
             return df.where(F.col(t.cond.col1) == F.col(t.cond.col2))
         raise TypeError(f"unknown condition {t.cond!r}")
     if isinstance(t, AntiProject):
-        return _eval(t.child, env, spark, cfg).drop(*t.cols).dropDuplicates()
+        df = _eval(t.child, env, spark, cfg).drop(*t.cols)
+        # The child is a set; dropping columns that hold one value in
+        # every row keeps it one, so only other columns need a distinct.
+        if set(t.cols) - pinned(t.child).keys():
+            df = df.dropDuplicates()
+        return df
     if isinstance(t, Rename):
         return _eval(t.child, env, spark, cfg).withColumnRenamed(t.old, t.new)
     if isinstance(t, Fix):

@@ -36,6 +36,7 @@ from .terms import (
     Term,
     Union_,
     Var,
+    map_children,
     schema,
 )
 
@@ -182,27 +183,7 @@ class DuckdbEvaluator:
         materialized result table."""
         if isinstance(t, Fix):
             return Rel(self._eval_fix(t, bound))
-        if isinstance(t, (Rel, Var)):
-            return t
-        if isinstance(t, Union_):
-            return Union_(
-                self._lift_fixpoints(t.left, bound), self._lift_fixpoints(t.right, bound)
-            )
-        if isinstance(t, Join):
-            return Join(
-                self._lift_fixpoints(t.left, bound), self._lift_fixpoints(t.right, bound)
-            )
-        if isinstance(t, AntiJoin):
-            return AntiJoin(
-                self._lift_fixpoints(t.left, bound), self._lift_fixpoints(t.right, bound)
-            )
-        if isinstance(t, Filter):
-            return Filter(t.cond, self._lift_fixpoints(t.child, bound))
-        if isinstance(t, AntiProject):
-            return AntiProject(t.cols, self._lift_fixpoints(t.child, bound))
-        if isinstance(t, Rename):
-            return Rename(t.old, t.new, self._lift_fixpoints(t.child, bound))
-        raise TypeError(f"not a μ-RA term: {t!r}")
+        return map_children(t, lambda c: self._lift_fixpoints(c, bound))
 
     def _eval_fix(self, fix: Fix, bound: dict[str, str]) -> str:
         check_fcond(fix)

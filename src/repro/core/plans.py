@@ -42,18 +42,12 @@ from .compiler_sql import DuckdbEvaluator
 from .fcond import check_fcond, constant_variable_split, union_branches, union_of
 from .stabilizer import stable_columns
 from .terms import (
-    AntiJoin,
-    AntiProject,
-    Filter,
     Fix,
-    Join,
     Rel,
     Rename,
     Term,
-    Union_,
-    Var,
-    free_vars,
     is_constant_in,
+    map_children,
 )
 
 _CONST_PREFIX = "__bc_"
@@ -80,23 +74,38 @@ def extract_constants(phi: Term, var: str) -> tuple[Term, dict[str, Term]]:
             name = f"{_CONST_PREFIX}{next(counter)}"
             mapping[name] = t
             return Rel(name)
-        if isinstance(t, Var):
-            return t
-        if isinstance(t, Union_):
-            return Union_(rec(t.left), rec(t.right))
-        if isinstance(t, Join):
-            return Join(rec(t.left), rec(t.right))
-        if isinstance(t, AntiJoin):
-            return AntiJoin(rec(t.left), rec(t.right))
-        if isinstance(t, Filter):
-            return Filter(t.cond, rec(t.child))
-        if isinstance(t, AntiProject):
-            return AntiProject(t.cols, rec(t.child))
-        if isinstance(t, Rename):
-            return Rename(t.old, t.new, rec(t.child))
-        raise TypeError(f"not a μ-RA term: {t!r}")
+        if isinstance(t, Fix):
+            raise TypeError(f"fixpoint depending on {var!r} in φ: {t}")
+        return map_children(t, rec)
 
     return rec(phi), mapping
+
+
+def read_constants(t: Term, consts: Mapping[str, Term]) -> Term:
+    """``t`` with every subterm equal to a constant's core replaced by a
+    read of that constant's relation.
+
+    A constant's core is the constant without its outer renames; the read
+    is the constant's relation with those renames inverted, applied in
+    reverse order. Cores that are a bare ``Rel`` are left alone (they are
+    named inputs already), and so are nested fixpoints: each binds its own
+    constants under the same names.
+    """
+    reads: dict[Term, Term] = {}
+    for name, core in consts.items():
+        read: Term = Rel(name)
+        while isinstance(core, Rename):
+            read = Rename(core.new, core.old, read)
+            core = core.child
+        if not isinstance(core, Rel):
+            reads.setdefault(core, read)
+
+    def rec(u: Term) -> Term:
+        if u in reads:
+            return reads[u]
+        return u if isinstance(u, Fix) else map_children(u, rec)
+
+    return rec(t)
 
 
 def execute_fixpoint(
@@ -108,16 +117,17 @@ def execute_fixpoint(
     """Entry point used by the Spark compiler for μ(X = Ψ)."""
     check_fcond(fix)
     const, phi = constant_variable_split(fix)
-    seeds = eval_spark(const, env, spark, cfg).dropDuplicates()
-    env_schemas = {k: frozenset(df.columns) for k, df in env.items()}
-    x_schema = frozenset(seeds.columns)
-    stable = stable_columns(phi, fix.var, env_schemas, x_schema)
     # Evaluate φ's constant relations once, at their first use; every plan
-    # reads them.
+    # reads them, and so do the seeds wherever they compute the same
+    # relation. eval_spark returns a set, so the seeds need no distinct.
     phi2, consts = extract_constants(phi, fix.var)
     cenv = dict(env)
     for name, t in consts.items():
         cenv[name] = eval_spark(t, env, spark, cfg).localCheckpoint(eager=False)
+    seeds = eval_spark(read_constants(const, consts), cenv, spark, cfg)
+    env_schemas = {k: frozenset(df.columns) for k, df in env.items()}
+    x_schema = frozenset(seeds.columns)
+    stable = stable_columns(phi, fix.var, env_schemas, x_schema)
 
     strategy = cfg.strategy
     if strategy == "auto":

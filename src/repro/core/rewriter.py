@@ -33,7 +33,6 @@ from typing import Callable, Mapping, Optional
 from .fcond import constant_variable_split, union_branches, union_of
 from .stabilizer import stable_columns, used_columns
 from .terms import (
-    AntiJoin,
     AntiProject,
     DST,
     EqConst,
@@ -49,6 +48,7 @@ from .terms import (
     compose,
     fresh_mid,
     is_constant_in,
+    map_children,
     schema,
 )
 
@@ -418,20 +418,7 @@ def _apply_bottom_up(t: Term, env: Schemas, rules: tuple[Callable, ...]) -> Term
     # this node until no rule fires (a rule may expose another).
     if isinstance(t, (Rel, Var)):
         return t
-    if isinstance(t, Union_):
-        t = Union_(_apply_bottom_up(t.left, env, rules), _apply_bottom_up(t.right, env, rules))
-    elif isinstance(t, Join):
-        t = Join(_apply_bottom_up(t.left, env, rules), _apply_bottom_up(t.right, env, rules))
-    elif isinstance(t, AntiJoin):
-        t = AntiJoin(_apply_bottom_up(t.left, env, rules), _apply_bottom_up(t.right, env, rules))
-    elif isinstance(t, Filter):
-        t = Filter(t.cond, _apply_bottom_up(t.child, env, rules))
-    elif isinstance(t, AntiProject):
-        t = AntiProject(t.cols, _apply_bottom_up(t.child, env, rules))
-    elif isinstance(t, Rename):
-        t = Rename(t.old, t.new, _apply_bottom_up(t.child, env, rules))
-    elif isinstance(t, Fix):
-        t = Fix(t.var, _apply_bottom_up(t.body, env, rules))
+    t = map_children(t, lambda c: _apply_bottom_up(c, env, rules))
     for _ in range(10):
         fired = False
         for rule in rules:

@@ -24,7 +24,7 @@ the paper's μ-RA example terms: column = constant and column = column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union as TyUnion
+from typing import Callable, Iterator, Mapping, Union as TyUnion
 
 Value = TyUnion[int, str, float]
 
@@ -220,32 +220,66 @@ def is_constant_in(t: Term, var: str) -> bool:
     return var not in free_vars(t)
 
 
+def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
+    """``t`` rebuilt with ``f`` applied to each direct sub-term (the cases
+    of :func:`children`); leaves are returned as they are."""
+    if isinstance(t, (Rel, Var)):
+        return t
+    if isinstance(t, (Union_, Join, AntiJoin)):
+        return type(t)(f(t.left), f(t.right))
+    if isinstance(t, Filter):
+        return Filter(t.cond, f(t.child))
+    if isinstance(t, AntiProject):
+        return AntiProject(t.cols, f(t.child))
+    if isinstance(t, Rename):
+        return Rename(t.old, t.new, f(t.child))
+    if isinstance(t, Fix):
+        return Fix(t.var, f(t.body))
+    raise TypeError(f"not a μ-RA term: {t!r}")
+
+
 def subst(t: Term, var: str, replacement: Term) -> Term:
     """Capture-avoiding substitution of free occurrences of ``var``.
 
     Inner fixpoints that rebind ``var`` shadow it (their bodies are left
     untouched), matching the binding rules of [11].
     """
-    if isinstance(t, Var):
-        return replacement if t.name == var else t
-    if isinstance(t, Rel):
+    if isinstance(t, Var) and t.name == var:
+        return replacement
+    if isinstance(t, Fix) and t.var == var:
         return t
-    if isinstance(t, Fix):
-        if t.var == var:
-            return t
-        return Fix(t.var, subst(t.body, var, replacement))
-    if isinstance(t, Union_):
-        return Union_(subst(t.left, var, replacement), subst(t.right, var, replacement))
-    if isinstance(t, Join):
-        return Join(subst(t.left, var, replacement), subst(t.right, var, replacement))
-    if isinstance(t, AntiJoin):
-        return AntiJoin(subst(t.left, var, replacement), subst(t.right, var, replacement))
+    return map_children(t, lambda c: subst(c, var, replacement))
+
+
+def pinned(t: Term) -> dict[str, Value]:
+    """Columns that hold one constant in every row of ``t``, with it.
+
+    ``σ[c=v]`` pins ``c``; ``σ[a=b]`` passes a pin from one column to the
+    other; a union keeps the pins both sides agree on. Leaves and
+    fixpoints pin nothing.
+    """
     if isinstance(t, Filter):
-        return Filter(t.cond, subst(t.child, var, replacement))
-    if isinstance(t, AntiProject):
-        return AntiProject(t.cols, subst(t.child, var, replacement))
+        p = pinned(t.child)
+        if isinstance(t.cond, EqConst):
+            p[t.cond.col] = t.cond.value
+        elif t.cond.col1 in p:
+            p.setdefault(t.cond.col2, p[t.cond.col1])
+        elif t.cond.col2 in p:
+            p[t.cond.col1] = p[t.cond.col2]
+        return p
     if isinstance(t, Rename):
-        return Rename(t.old, t.new, subst(t.child, var, replacement))
+        return {t.new if c == t.old else c: v for c, v in pinned(t.child).items()}
+    if isinstance(t, Join):
+        return {**pinned(t.left), **pinned(t.right)}
+    if isinstance(t, AntiJoin):
+        return pinned(t.left)
+    if isinstance(t, AntiProject):
+        return {c: v for c, v in pinned(t.child).items() if c not in t.cols}
+    if isinstance(t, Union_):
+        r = pinned(t.right)
+        return {c: v for c, v in pinned(t.left).items() if c in r and r[c] == v}
+    if isinstance(t, (Rel, Var, Fix)):
+        return {}
     raise TypeError(f"not a μ-RA term: {t!r}")
 
 

@@ -6,19 +6,28 @@ import pytest
 
 from repro.core.compiler_pandas import eval_pandas
 from repro.core.compiler_spark import FixConfig, eval_spark
-from repro.core.plans import extract_constants
+from repro.core.cost import GraphStats
+from repro.core.fcond import constant_variable_split
+from repro.core.paper_queries import YAGO_QUERIES
+from repro.core.planner import plan_crpq
+from repro.core.plans import extract_constants, read_constants
 from repro.core.terms import (
     AntiProject,
     EqConst,
     Filter,
     Fix,
+    Join,
     Rel,
+    Rename,
     Union_,
     Var,
     compose,
     free_rels,
+    inverse,
+    walk,
 )
 from repro.graphs.generators import erdos_renyi
+from repro.graphs.yago import yago_lite
 from tests.conftest import FIG2_FIXPOINT
 
 
@@ -254,4 +263,65 @@ class TestExtractConstants:
 
         assert any(
             isinstance(s, Fix) for t in consts.values() for s in walk(t)
+        )
+
+
+def atom(label):
+    return AntiProject(("label",), Filter(EqConst("label", label), Rel("G")))
+
+
+class TestReadConstants:
+    """The seeds read φ's checkpointed constant relations instead of
+    recomputing them."""
+
+    def test_q25_seeds_read_the_co_actor_constant(self):
+        tri, consts = yago_lite(600, seed=1)
+        term = plan_crpq(YAGO_QUERIES["Q25"], GraphStats.from_pandas(tri), consts).term
+        (fix,) = [s for s in walk(term) if isinstance(s, Fix)]
+        const, phi = constant_variable_split(fix)
+        _, cmap = extract_constants(phi, fix.var)
+        seeds = read_constants(const, cmap)
+        # __bc_0 is ρ[dst→m2](co-actor composition), __bc_1 ρ[src→m2](hasChild).
+        assert seeds == AntiProject(
+            ("m1",),
+            Join(
+                Rename("dst", "m1", Rename("m2", "dst", Rel("__bc_0"))),
+                Rename("src", "m1", Rename("m2", "src", Rel("__bc_1"))),
+            ),
+        )
+        # The composition's inverse chain ρ[src→inv_t]/ρ[dst→src]/ρ[inv_t→dst]
+        # is evaluated once, inside __bc_0, and no longer in the seeds.
+        inv = inverse(atom("actedIn"))
+        assert inv in walk(cmap["__bc_0"])
+        assert inv in walk(const) and inv not in walk(seeds)
+        g = {"G": tri}
+        cenv = {**g, **{name: eval_pandas(t, g) for name, t in cmap.items()}}
+        want = eval_pandas(const, g)
+        assert len(want) > 0
+        assert pairs(eval_pandas(seeds, cenv)) == pairs(want)
+
+    def test_read_inverts_outer_renames_in_reverse_order(self, fig2_e):
+        core = compose(Rel("E"), Rel("E"))
+        # The constant is ρ[src→m9](ρ[inv_t→dst](ρ[dst→src](ρ[src→inv_t](core)))).
+        _, cmap = extract_constants(compose(Var("X"), inverse(core), "m9"), "X")
+        seeds = read_constants(Union_(core, Rel("E")), cmap)
+        read = Rename(
+            "inv_t",
+            "src",
+            Rename("src", "dst", Rename("dst", "inv_t", Rename("m9", "src", Rel("__bc_0")))),
+        )
+        assert seeds == Union_(read, Rel("E"))
+        cenv = {"E": fig2_e, "__bc_0": eval_pandas(cmap["__bc_0"], {"E": fig2_e})}
+        want = eval_pandas(Union_(core, Rel("E")), {"E": fig2_e})
+        assert pairs(eval_pandas(seeds, cenv)) == pairs(want)
+
+    def test_bare_relations_and_nested_fixpoints_are_not_replaced(self):
+        _, cmap = extract_constants(compose(Var("X"), Rel("E")), "X")
+        assert read_constants(compose(Rel("E"), Rel("E")), cmap) == compose(Rel("E"), Rel("E"))
+        core = compose(Rel("E"), Rel("S"))
+        _, cmap = extract_constants(compose(Var("X"), core, "m9"), "X")
+        # A nested fixpoint binds its own constants under the same names.
+        nested = Fix("Y", Union_(core, compose(Var("Y"), Rel("E"), "m9")))
+        assert read_constants(Join(core, nested), cmap) == Join(
+            Rename("m9", "src", Rel("__bc_0")), nested
         )

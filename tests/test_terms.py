@@ -21,6 +21,8 @@ from repro.core.terms import (
     fresh_mid,
     inverse,
     is_constant_in,
+    map_children,
+    pinned,
     schema,
     subst,
     walk,
@@ -158,3 +160,64 @@ class TestStructure:
     def test_union_operator_sugar(self):
         assert Rel("R").union(Rel("S")) == Union_(Rel("R"), Rel("S"))
         assert Rel("R").join(Rel("S")) == Join(Rel("R"), Rel("S"))
+
+    def test_map_children_rebuilds_each_operator(self):
+        def mark(c):
+            return Rel("Y") if c == Rel("R") else c
+
+        cond = EqConst("src", 1)
+        cases = [
+            (Union_(Rel("R"), Rel("S")), Union_(Rel("Y"), Rel("S"))),
+            (Join(Rel("S"), Rel("R")), Join(Rel("S"), Rel("Y"))),
+            (AntiJoin(Rel("R"), Rel("R")), AntiJoin(Rel("Y"), Rel("Y"))),
+            (Filter(cond, Rel("R")), Filter(cond, Rel("Y"))),
+            (AntiProject(("src",), Rel("R")), AntiProject(("src",), Rel("Y"))),
+            (Rename("src", "a", Rel("R")), Rename("src", "a", Rel("Y"))),
+            (Fix("X", Rel("R")), Fix("X", Rel("Y"))),
+            (Rel("R"), Rel("R")),
+            (Var("X"), Var("X")),
+        ]
+        for t, want in cases:
+            assert map_children(t, mark) == want
+
+
+G = Rel("G")
+LABEL_A = Filter(EqConst("label", "a"), G)
+
+
+class TestPinned:
+    def test_leaves_and_fixpoints_pin_nothing(self):
+        assert pinned(G) == {}
+        assert pinned(Var("X")) == {}
+        assert pinned(Fix("X", Union_(LABEL_A, Join(Var("X"), LABEL_A)))) == {}
+
+    def test_eq_const_pins_its_column(self):
+        assert pinned(LABEL_A) == {"label": "a"}
+        assert pinned(Filter(EqConst("src", 7), LABEL_A)) == {"label": "a", "src": 7}
+
+    def test_eq_col_passes_a_pin_either_way(self):
+        to_dst = Filter(EqCol("src", "dst"), Filter(EqConst("src", 7), G))
+        assert pinned(to_dst) == {"src": 7, "dst": 7}
+        to_src = Filter(EqCol("src", "dst"), Filter(EqConst("dst", 7), G))
+        assert pinned(to_src) == {"src": 7, "dst": 7}
+        assert pinned(Filter(EqCol("src", "dst"), G)) == {}
+
+    def test_rename_renames_pins(self):
+        assert pinned(Rename("label", "l", LABEL_A)) == {"l": "a"}
+        assert pinned(Rename("src", "s", LABEL_A)) == {"label": "a"}
+
+    def test_join_merges_antijoin_keeps_left(self):
+        b = Rename("label", "l2", Filter(EqConst("label", "b"), G))
+        assert pinned(Join(LABEL_A, b)) == {"label": "a", "l2": "b"}
+        assert pinned(AntiJoin(LABEL_A, b)) == {"label": "a"}
+        assert pinned(AntiJoin(G, LABEL_A)) == {}
+
+    def test_antiproject_drops_removed_pins(self):
+        t = Filter(EqConst("src", 7), LABEL_A)
+        assert pinned(AntiProject(("label",), t)) == {"src": 7}
+
+    def test_union_keeps_agreed_pins(self):
+        same = Union_(Filter(EqConst("src", 7), LABEL_A), LABEL_A)
+        assert pinned(same) == {"label": "a"}
+        other = Union_(LABEL_A, Filter(EqConst("label", "b"), G))
+        assert pinned(other) == {}
