@@ -6,8 +6,9 @@ yago_lite 5k and 30k, it times two phases of each query:
 
 * ``build``: planning plus ``eval_spark``, i.e. the driver-side work
   before the action, including the Spark jobs the plans run to get
-  there (checkpointing and counting φ's constant relations, collecting
-  and broadcasting them, P_gld iterations);
+  there (counting, collecting and broadcasting φ's constant relations
+  for P_plw or the fixpoint's inputs for the P_gld hand-off; P_gld
+  iterations);
 * ``action``: ``count()`` of the result.
 
 Spark jobs are counted per phase from job groups (status store). Each

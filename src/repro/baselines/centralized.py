@@ -9,27 +9,11 @@ no distribution.
 """
 from __future__ import annotations
 
-from typing import Mapping
-
 import pandas as pd
 
 from ..core.compiler_sql import DuckdbEvaluator, eval_duckdb
-from ..core.cost import GraphStats
-from ..core.planner import plan_crpq
 from ..core.query2mu import GRAPH
-from ..core.rpq import CRPQ
 from ..core.terms import Term
-
-
-def eval_crpq_centralized(
-    graph: pd.DataFrame,
-    q: CRPQ | str,
-    consts: Mapping[str, int] | None = None,
-    stats: GraphStats | None = None,
-) -> pd.DataFrame:
-    stats = stats or GraphStats.from_pandas(graph)
-    report = plan_crpq(q, stats, consts or {})
-    return eval_term_centralized(report.term, graph)
 
 
 def eval_term_centralized(

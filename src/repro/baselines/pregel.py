@@ -27,11 +27,9 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+# The one capacity error of every engine, importable from here too.
+from ..core.compiler_pandas import CapacityError
 from ..core.rpq import CRPQ, Alt, Atom, Label, Plus, Rx, Seq, is_var, parse_query, var_col
-
-
-class CapacityError(RuntimeError):
-    """Intermediate state exceeded the configured capacity (≙ crash)."""
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ optimizes them. Fixpoints are dispatched to the physical plans in
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -37,8 +38,8 @@ class FixConfig:
 
     strategy:
       * ``auto``  — the paper's plan-selection rule (§IV-B-c): P_plw if a
-        stable column exists, else P_gld, first tried as P_plw^s over one
-        partition (``gld→local``) when φ's constants fit the broadcast
+        stable column exists, else P_gld, handed to one worker
+        (``gld→local``) when the fixpoint's inputs fit the broadcast
         budget;
       * ``gld`` / ``plw_s`` / ``plw_pg`` — force a plan.
     """
@@ -50,11 +51,22 @@ class FixConfig:
     # (None = unlimited). Mirrors the paper's crash markers: runaway
     # closures surface as failures instead of unbounded runs.
     row_cap: int | None = None
-    # At most this many rows of φ's constant relations are collected to
-    # the driver and broadcast; also capped by ``row_cap``.
+    # At most this many rows are collected to the driver and broadcast:
+    # φ's constant relations for P_plw, the fixpoint's inputs (its
+    # shuffle-free subterms) for the P_gld hand-off. Also capped by
+    # ``row_cap``.
     broadcast_rows: int = 4_000_000
     # Filled in by plans.execute_fixpoint for observability in tests/benches.
     chosen: list[str] = field(default_factory=list)
+    # Numbers the relations each fixpoint binds (see fresh()).
+    _names: Iterator[int] = field(
+        default_factory=itertools.count, init=False, repr=False, compare=False
+    )
+
+    def fresh(self) -> str:
+        """A relation-name prefix that no other fixpoint of the query binds,
+        so a nested fixpoint never shadows its enclosing one's relations."""
+        return f"__bc{next(self._names)}_"
 
 
 def eval_spark(

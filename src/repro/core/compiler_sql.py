@@ -21,6 +21,7 @@ from typing import Mapping
 import duckdb
 import pandas as pd
 
+from .compiler_pandas import CapacityError
 from .fcond import check_fcond, constant_variable_split, union_branches
 from .terms import (
     AntiJoin,
@@ -229,8 +230,6 @@ class DuckdbEvaluator:
                 # The new rows are disjoint from X: keep |X| as a running total.
                 size += n
                 if size > self.row_cap:
-                    from .compiler_pandas import CapacityError
-
                     raise CapacityError(f"fixpoint exceeded row_cap={self.row_cap}")
         raise RuntimeError(f"fixpoint did not converge in {MAX_ITERATIONS} iterations")
 

@@ -316,44 +316,6 @@ def try_filter_descend(t: Term, env: Schemas) -> Optional[Term]:
     return None
 
 
-def try_antiproject_descend(t: Term, env: Schemas) -> Optional[Term]:
-    """Push π̃ through ρ / π̃ / σ / ∪ one step (classic RA rewrites),
-    so head antiprojections reach fixpoints (then try_push_antiproject
-    applies — the paper's push-antiprojection-into-fixpoint)."""
-    if not isinstance(t, AntiProject):
-        return None
-    cols, child = set(t.cols), t.child
-    if isinstance(child, Rename):
-        if child.new in cols:
-            # dropping the renamed column ≡ dropping the original
-            return AntiProject(tuple(sorted((cols - {child.new}) | {child.old})), child.child)
-        return Rename(child.old, child.new, AntiProject(t.cols, child.child))
-    c = match_compose(child)
-    if c is not None and cols and cols < {SRC, DST}:
-        # π̃_src(A∘B) = π̃_src(A)∘B and π̃_dst(A∘B) = A∘π̃_dst(B) — push
-        # into the compose arguments *preserving the compose pattern*
-        # (merging into the π̃_mid would hide it from push-join/merge).
-        left = AntiProject((SRC,), c.left) if SRC in cols else c.left
-        right = AntiProject((DST,), c.right) if DST in cols else c.right
-        return AntiProject(
-            (c.mid,), Join(Rename(DST, c.mid, left), Rename(SRC, c.mid, right))
-        )
-    if isinstance(child, AntiProject):
-        return AntiProject(tuple(sorted(cols | set(child.cols))), child.child)
-    if isinstance(child, Filter):
-        fcols = (
-            {child.cond.col}
-            if isinstance(child.cond, EqConst)
-            else {child.cond.col1, child.cond.col2}
-        )
-        if not (fcols & cols):
-            return Filter(child.cond, AntiProject(t.cols, child.child))
-        return None
-    if isinstance(child, Union_):
-        return Union_(AntiProject(t.cols, child.left), AntiProject(t.cols, child.right))
-    return None
-
-
 def try_reverse_push_filter(t: Term, env: Schemas) -> Optional[Term]:
     """σ on a non-stable column of a *pure closure*: reverse the closure
     (paper's reverse-fixpoint rule) so the column becomes stable, then

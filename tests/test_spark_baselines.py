@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.bigdatalog import eval_crpq_bigdatalog, plan_crpq_bigdatalog
 from repro.baselines.pregel import CapacityError, build_nfa, eval_crpq_pregel
+from repro.core import compiler_pandas
 from repro.core.planner import plan_crpq
 from repro.core.cost import GraphStats
 from repro.core.reference import eval_crpq
@@ -44,6 +45,13 @@ def test_bigdatalog_matches_reference(spark, spark_triples, small_triples_list, 
 
 def test_pregel_capacity_error(spark, spark_triples):
     with pytest.raises(CapacityError):
+        eval_crpq_pregel(spark, spark_triples, "?x, ?y <- ?x (a|b|c)+ ?y", max_rows=50)
+
+
+def test_pregel_capacity_error_is_the_engines_one(spark, spark_triples):
+    # One CapacityError for every engine: a handler for the pandas
+    # engine's catches Pregel's message cap too.
+    with pytest.raises(compiler_pandas.CapacityError):
         eval_crpq_pregel(spark, spark_triples, "?x, ?y <- ?x (a|b|c)+ ?y", max_rows=50)
 
 

@@ -4,13 +4,14 @@ DuckDB), the auto selection rule, and the P_plw disjointness guarantee."""
 import pandas as pd
 import pytest
 
+from repro.core import plans
 from repro.core.compiler_pandas import eval_pandas
 from repro.core.compiler_spark import FixConfig, eval_spark
 from repro.core.cost import GraphStats
 from repro.core.fcond import constant_variable_split
 from repro.core.paper_queries import YAGO_QUERIES
 from repro.core.planner import plan_crpq
-from repro.core.plans import extract_constants, read_constants
+from repro.core.plans import extract_constants, read_constants, split_inputs
 from repro.core.terms import (
     AntiProject,
     EqConst,
@@ -99,6 +100,119 @@ def test_no_hand_off_when_constants_overrun_broadcast_budget(
         got = eval_spark(merged_fix(), env, spark, cfg)
     assert cfg.chosen == ["gld(broadcast-fallback)"]
     assert pairs(got.toPandas()) == pairs(eval_pandas(merged_fix(), {"E": fig2_e.copy()}))
+
+
+def jobs_of(spark, group):
+    """Job ids of a job group, once the listener bus has recorded them."""
+    sc = spark.sparkContext
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return sc.statusTracker().getJobIdsForGroup(group)
+
+
+def test_hand_off_runs_only_the_inputs_in_spark(spark, fig2_e):
+    # Spark counts and collects merged_fix's one input relation, E; the
+    # action runs constants, seeds and loop in one Python task.
+    sc = spark.sparkContext
+    env = {"E": spark.createDataFrame(fig2_e)}
+    cfg = FixConfig(strategy="auto")
+    try:
+        sc.setJobGroup("hand-off-build", "hand-off-build")
+        out = eval_spark(merged_fix(), env, spark, cfg)
+        sc.setJobGroup("hand-off-action", "hand-off-action")
+        got = out.toPandas()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert cfg.chosen == ["gld→local"]
+    action = jobs_of(spark, "hand-off-action")
+    assert len(jobs_of(spark, "hand-off-build")) + len(action) <= 4
+    tracker = sc.statusTracker()
+    stages = [s for j in action for s in tracker.getJobInfo(j).stageIds]
+    assert sum(tracker.getStageInfo(s).numTasks for s in stages) == 1
+    assert pairs(got) == pairs(eval_pandas(merged_fix(), {"E": fig2_e.copy()}))
+
+
+def nested_merged_fix():
+    # merged_fix whose seeds compose a right closure (stable column src)
+    # with E: the closure is one of the outer fixpoint's inputs.
+    return Fix(
+        "Z",
+        Union_(
+            compose(right_tc(), Rel("E")),
+            Union_(
+                compose(Rel("E"), Var("Z"), "m1"), compose(Var("Z"), Rel("E"), "m2")
+            ),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "budget, outer", [(4_000_000, "gld→local"), (15, "gld(broadcast-fallback)")]
+)
+def test_hand_off_plans_nested_fixpoint_once(spark, fig2_e, fig2_s, budget, outer):
+    # The closure's 10 rows of E fit a budget of 15; the outer inputs, the
+    # 10-row closure and three renamed copies of E, are 40 rows.
+    env = {"S": spark.createDataFrame(fig2_s), "E": spark.createDataFrame(fig2_e)}
+    cfg = FixConfig(strategy="auto", broadcast_rows=budget)
+    got = eval_spark(nested_merged_fix(), env, spark, cfg).toPandas()
+    assert cfg.chosen == ["plw_s", outer]
+    want = eval_pandas(nested_merged_fix(), {"S": fig2_s.copy(), "E": fig2_e.copy()})
+    assert len(want) > 0
+    assert pairs(got) == pairs(want)
+
+
+def labelled_merged_fix():
+    return Fix(
+        "Z",
+        Union_(
+            compose(atom("a"), atom("b")),
+            Union_(compose(atom("a"), Var("Z"), "m1"), compose(Var("Z"), atom("b"), "m2")),
+        ),
+    )
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_hand_off_counts_renamed_copies_of_inputs(
+    spark, small_triples, spark_triples, copies, monkeypatch
+):
+    # Both slices, σ[label=a] and σ[label=b] of G, are read under two
+    # renames each: the budget must hold both copies, and nothing is
+    # collected when it does not.
+    a, b = (len(small_triples[small_triples["label"] == x]) for x in "ab")
+    cfg = FixConfig(strategy="auto", broadcast_rows=copies * (a + b))
+    env = {"G": spark_triples}
+    if copies == 1:
+        with monkeypatch.context() as m:
+            m.setattr(type(spark_triples), "toPandas", lambda self: pytest.fail("collected"))
+            out = eval_spark(labelled_merged_fix(), env, spark, cfg)
+        assert cfg.chosen == ["gld(broadcast-fallback)"]
+    else:
+        out = eval_spark(labelled_merged_fix(), env, spark, cfg)
+        assert cfg.chosen == ["gld→local"]
+    want = eval_pandas(labelled_merged_fix(), {"G": small_triples})
+    assert len(want) > 0
+    assert pairs(out.toPandas()) == pairs(want)
+
+
+@pytest.mark.parametrize("strategy", ["gld", "auto"])
+def test_nested_fixpoint_binds_no_name_of_the_outer_one(
+    spark, fig2_e, fig2_s, strategy, monkeypatch
+):
+    bound = []
+
+    def spy(fn):
+        def wrapper(*args):
+            out = fn(*args)
+            bound.append(set(out[1]))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(plans, "extract_constants", spy(plans.extract_constants))
+    monkeypatch.setattr(plans, "split_inputs", spy(plans.split_inputs))
+    env = {"S": spark.createDataFrame(fig2_s), "E": spark.createDataFrame(fig2_e)}
+    eval_spark(nested_merged_fix(), env, spark, FixConfig(strategy=strategy)).collect()
+    outer, inner = bound
+    assert outer and inner and not outer & inner
 
 
 def test_forced_plw_without_stable_column_falls_back(spark, fig2_e):
@@ -268,6 +382,31 @@ class TestExtractConstants:
 
 def atom(label):
     return AntiProject(("label",), Filter(EqConst("label", label), Rel("G")))
+
+
+class TestSplitInputs:
+    """The inputs of a handed-off fixpoint: its maximal subterms that
+    Spark evaluates without a shuffle."""
+
+    def test_renamed_copies_share_a_slice_and_count_separately(self):
+        local, slices, copies = split_inputs(merged_fix(), "__in_")
+        assert slices == {"__in_0": Rel("E")}
+        assert copies == {"__in_0": 4}
+        assert free_rels(local) == {"__in_0"}
+
+    def test_pinned_antiprojection_is_part_of_an_input(self):
+        local, slices, copies = split_inputs(labelled_merged_fix(), "__in_")
+        assert slices == {"__in_0": atom("a"), "__in_1": atom("b")}
+        assert copies == {"__in_0": 2, "__in_1": 2}
+        # A π̃ over a column that is not pinned needs a distinct: the
+        # input stops below it.
+        fix = Fix("X", Union_(AntiProject(("label",), Rel("G")), compose(Var("X"), Rel("E"))))
+        _, slices, _ = split_inputs(fix, "__in_")
+        assert set(slices.values()) == {Rel("G"), Rel("E")}
+
+    def test_nested_fixpoint_is_an_input(self):
+        _, slices, _ = split_inputs(nested_merged_fix(), "__in_")
+        assert right_tc() in slices.values()
 
 
 class TestReadConstants:
