@@ -50,6 +50,8 @@ os.environ.setdefault(
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
+from repro.bench.worker_daemon import DAEMON_MODULE  # noqa: E402
+
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
@@ -61,6 +63,8 @@ def spark() -> SparkSession:
     Broadcast joins are disabled so papers about shuffle/join algorithms
     actually exercise the shuffle path at SF~=0.1; a reproduction that
     wants a broadcast join sets the threshold back for that query.
+    Python workers start from ``repro.bench.worker_daemon``, as in
+    ``repro.bench.session.get_spark``.
     """
     s = (
         SparkSession.builder.appName("repro")
@@ -70,6 +74,7 @@ def spark() -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.python.daemon.module", DAEMON_MODULE)
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

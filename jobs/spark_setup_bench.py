@@ -15,7 +15,9 @@ Spark jobs are counted per phase from job groups (status store). Each
 query runs once to warm up, then REPEATS times; the JSON records every
 time, the medians, the jobs of the last run, ``cfg.chosen``, the row
 count (the same in every run, and for both systems) and the environment
-(cores, Spark and Python versions, commit of the evaluated sources).
+(cores, Spark and Python versions, commit of the evaluated sources, and
+``noop_task_s``: the median time of a one-task ``mapInPandas`` that does
+nothing, the fixed cost of every P_plw and hand-off task).
 
     PYTHONPATH=src python jobs/spark_setup_bench.py [--out BENCH_spark_setup.json]
 """
@@ -44,11 +46,25 @@ from repro.core.rpq import parse_query
 from repro.graphs.yago import yago_lite
 
 REPEATS = 3
+NOOP_RUNS = 10
 SCALES = (5_000, 30_000)
 QIDS = ("Q1", "Q21", "Q25")
 SYSTEMS = ("dist", "bdl")
 
 _groups = itertools.count()
+
+
+def noop_task_s(spark) -> float:
+    """Median seconds of NOOP_RUNS counts of a one-task ``mapInPandas``
+    that passes its one row through, after one run to start the workers."""
+    df = spark.range(0, 1, 1, 1).mapInPandas(lambda batches: batches, schema="id long")
+    df.count()
+    times = []
+    for _ in range(NOOP_RUNS):
+        t0 = time.perf_counter()
+        df.count()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def run_once(spark, g, stats, consts, qid: str, system: str) -> dict:
@@ -127,6 +143,7 @@ def main() -> None:
                 "python": platform.python_version(),
                 "commit": commit(),
                 "repeats": REPEATS,
+                "noop_task_s": noop_task_s(spark),
             },
             **{f"yago_lite_{n}": bench_scale(spark, n) for n in SCALES},
         }

@@ -1,13 +1,16 @@
 """SparkSession for spark-submit jobs (tests use the conftest fixture).
 
 Same configuration as the test fixture: broadcast joins disabled so the
-shuffle path is exercised; Arrow on for mapInPandas.
+shuffle path is exercised; Arrow on for mapInPandas; Python workers
+started by ``repro.bench.worker_daemon``.
 """
 from __future__ import annotations
 
 import os
 
 from pyspark.sql import SparkSession
+
+from repro.bench.worker_daemon import DAEMON_MODULE
 
 
 def get_spark(app: str) -> SparkSession:
@@ -18,6 +21,7 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
+        .config("spark.python.daemon.module", DAEMON_MODULE)
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

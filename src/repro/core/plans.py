@@ -371,13 +371,10 @@ def _run_plw(
     # If those relations overrun the broadcast budget, fall back to P_gld
     # (distributed shuffle joins) — the same family of decisions a join
     # planner makes between broadcast and shuffle joins. They are counted
-    # before anything is collected, so a fallback collects nothing.
-    budget = _broadcast_budget(cfg)
-    for df in rels.values():
-        budget -= df.count()
-        if budget < 0:
-            cfg.chosen[-1] = "gld(broadcast-fallback)"
-            return _run_gld(phi2, var, seeds, cenv, spark, cfg)
+    # in one job before anything is collected, so a fallback collects nothing.
+    if rels and _total_rows(rels, Counter(rels.keys())) > _broadcast_budget(cfg):
+        cfg.chosen[-1] = "gld(broadcast-fallback)"
+        return _run_gld(phi2, var, seeds, cenv, spark, cfg)
 
     n = cfg.num_partitions or spark.sparkContext.defaultParallelism
     # Hash-repartition the constant part by the stable column(s):
