@@ -11,9 +11,11 @@ yago_lite 5k and 30k, it times two phases of each query:
   iterations);
 * ``action``: ``count()`` of the result.
 
-Spark jobs are counted per phase from job groups (status store). Each
-query runs once to warm up, then REPEATS times; the JSON records every
-time, the medians, the jobs of the last run, ``cfg.chosen``, the row
+Spark jobs are counted per phase from job groups (status store), and
+the last run records, for each job, the names of its stages: their call
+sites, such as ``toPandas at plans.py:123``. Each query runs once to
+warm up, then REPEATS times; the JSON records every time, the medians,
+the jobs of the last run, ``cfg.chosen``, the row
 count (the same in every run, and for both systems) and the environment
 (cores, Spark and Python versions, commit of the evaluated sources, and
 ``noop_task_s``: the median time of a one-task ``mapInPandas`` that does
@@ -28,6 +30,7 @@ import itertools
 import json
 import os
 import platform
+import re
 import statistics
 import time
 from pathlib import Path
@@ -67,6 +70,16 @@ def noop_task_s(spark) -> float:
     return statistics.median(times)
 
 
+def stage_names(tracker, group: str) -> list[list[str]]:
+    """For each job of ``group``, oldest first, the names of its stages
+    that ran, with each call site's directory dropped."""
+    out = []
+    for job in sorted(tracker.getJobIdsForGroup(group)):
+        stages = (tracker.getStageInfo(s) for s in sorted(tracker.getJobInfo(job).stageIds))
+        out.append([re.sub(r"\S*/", "", s.name) for s in stages if s is not None])
+    return out
+
+
 def run_once(spark, g, stats, consts, qid: str, system: str) -> dict:
     sc = spark.sparkContext
     tracker = sc.statusTracker()
@@ -88,6 +101,8 @@ def run_once(spark, g, stats, consts, qid: str, system: str) -> dict:
         "action_s": t2 - t1,
         "build_jobs": len(tracker.getJobIdsForGroup(build)),
         "action_jobs": len(tracker.getJobIdsForGroup(action)),
+        "build_stages": stage_names(tracker, build),
+        "action_stages": stage_names(tracker, action),
         "chosen": cfg.chosen,
         "rows": rows,
     }
@@ -114,6 +129,8 @@ def bench_scale(spark, n_edges: int) -> dict:
                 "action_s": [r["action_s"] for r in runs],
                 "build_jobs": last["build_jobs"],
                 "action_jobs": last["action_jobs"],
+                "build_stages": last["build_stages"],
+                "action_stages": last["action_stages"],
                 "chosen": last["chosen"],
                 "rows": last["rows"],
             }

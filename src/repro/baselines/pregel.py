@@ -29,6 +29,7 @@ from pyspark.sql import functions as F
 
 # The one capacity error of every engine, importable from here too.
 from ..core.compiler_pandas import CapacityError
+from ..core.fcond import MAX_ITERATIONS
 from ..core.rpq import CRPQ, Alt, Atom, Label, Plus, Rx, Seq, is_var, parse_query, var_col
 
 
@@ -116,7 +117,6 @@ def eval_atom_pregel(
     graph: DataFrame,  # (src, label, dst)
     atom: Atom,
     consts: dict[str, int],
-    max_supersteps: int = 10_000,
     max_rows: int | None = 20_000_000,
 ) -> DataFrame:
     """Evaluate one RPQ atom; returns DataFrame(origin, node) pairs."""
@@ -156,7 +156,7 @@ def eval_atom_pregel(
 
     seen = msgs.localCheckpoint()
     new = seen
-    for _ in range(max_supersteps):
+    for _ in range(MAX_ITERATIONS):
         parts = []
         if have_fwd:
             parts.append(

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Union
 import numpy as np
 import pandas as pd
 
-from .fcond import check_fcond, constant_variable_split, union_branches
+from .fcond import MAX_ITERATIONS, check_fcond, constant_variable_split, union_branches
 from .terms import (
     AntiJoin,
     AntiProject,
@@ -52,8 +52,6 @@ from .terms import (
     Union_,
     Var,
 )
-
-MAX_ITERATIONS = 100_000
 
 # Integer values in [0, _PACK_LIMIT) fit the 32 bits of a packed key half.
 _PACK_LIMIT = 1 << 32

@@ -1,35 +1,25 @@
 """Spark backend: μ-RA terms → Spark DataFrame computations.
 
-Non-recursive operators compile directly to Dataset/DataFrame
-operations (paper §IV: "Non-recursive μ-RA expressions are directly
-translated into Spark operations using the Dataset API"), so Catalyst
-optimizes them. Fixpoints are dispatched to the physical plans in
-:mod:`repro.core.plans` (P_gld / P_plw^s / P_plw^pg).
+Non-recursive μ-RA is compiled by :func:`repro.core.compiler_sql.to_sql`,
+the compiler DuckDB runs too, and executed as one ``spark.sql`` query,
+so Catalyst optimizes it. The paper translates it "directly into Spark
+operations using the Dataset API" (§IV); Spark SQL reaches the same
+optimizer (DESIGN.md §4). Fixpoints are dispatched to the physical plans
+in :mod:`repro.core.plans` (P_gld / P_plw^s / P_plw^pg), and the query
+reads their results as relations.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, TypeVar
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from .terms import (
-    AntiJoin,
-    AntiProject,
-    EqCol,
-    EqConst,
-    Filter,
-    Fix,
-    Join,
-    Rel,
-    Rename,
-    Term,
-    Union_,
-    Var,
-    pinned,
-)
+from .compiler_sql import to_sql
+from .terms import AntiJoin, AntiProject, Fix, Join, Rel, Rename, Term, Var, children, map_children
+
+V = TypeVar("V")
 
 
 @dataclass
@@ -46,7 +36,6 @@ class FixConfig:
 
     strategy: str = "auto"
     num_partitions: int | None = None
-    max_iterations: int = 100_000
     # Abort a fixpoint whose accumulated result exceeds this many rows
     # (None = unlimited). Mirrors the paper's crash markers: runaway
     # closures surface as failures instead of unbounded runs.
@@ -69,6 +58,30 @@ class FixConfig:
         return f"__bc{next(self._names)}_"
 
 
+def columns(t: Term, env: Mapping[str, Mapping[str, V]]) -> dict[str, V]:
+    """The columns of the fixpoint-free term ``t`` in the order the
+    DataFrame API gives them, each with the value ``env`` gives the input
+    column it comes from (its Spark type, say).
+
+    ``env`` maps each relation to its columns in order. A join or
+    antijoin puts the shared columns first, sorted, then the left side's
+    others and (a join) the right side's; a rename keeps the column's
+    place; ∪, σ and π̃ keep the order of their (left) child.
+    """
+    if isinstance(t, (Rel, Var)):
+        return dict(env[t.name])
+    if isinstance(t, (Join, AntiJoin)):
+        left, right = columns(t.left, env), columns(t.right, env)
+        shared = {c: left[c] for c in sorted(left.keys() & right.keys())}
+        return {**shared, **left, **right} if isinstance(t, Join) else {**shared, **left}
+    cols = columns(children(t)[0], env)
+    if isinstance(t, Rename):
+        return {t.new if c == t.old else c: v for c, v in cols.items()}
+    if isinstance(t, AntiProject):
+        return {c: v for c, v in cols.items() if c not in t.cols}
+    return cols
+
+
 def eval_spark(
     term: Term,
     env: Mapping[str, DataFrame],
@@ -76,53 +89,42 @@ def eval_spark(
     cfg: FixConfig | None = None,
 ) -> DataFrame:
     """Evaluate ``term`` over DataFrames ``env`` (assumed duplicate-free,
-    per μ-RA set semantics). Returns a distinct DataFrame."""
+    per μ-RA set semantics). Returns a distinct DataFrame.
+
+    Each maximal fixpoint runs through the physical plans. A bare relation
+    or fixpoint is returned as its DataFrame; anything else is one
+    ``spark.sql`` query over the DataFrames it reads, passed as keyword
+    arguments: PySpark binds each to a temporary view for that call only.
+    """
     cfg = cfg or FixConfig()
-    return _eval(term, dict(env), spark, cfg)
+    frames: dict[str, DataFrame] = {}
+    reads: dict[str, Rel] = {}
 
+    def read(df: DataFrame) -> Rel:
+        # The relation is named by the placeholder that PySpark's
+        # formatter replaces with the view of ``df``.
+        key = f"r{len(frames)}"
+        frames[key] = df
+        return Rel(f"{{{key}}}")
 
-def _eval(
-    t: Term, env: dict[str, DataFrame], spark: SparkSession, cfg: FixConfig
-) -> DataFrame:
-    if isinstance(t, (Rel, Var)):
-        if t.name not in env:
-            raise KeyError(f"relation {t.name!r} not bound")
-        return env[t.name]
-    if isinstance(t, Union_):
-        l = _eval(t.left, env, spark, cfg)
-        r = _eval(t.right, env, spark, cfg)
-        return l.unionByName(r).dropDuplicates()
-    if isinstance(t, Join):
-        l = _eval(t.left, env, spark, cfg)
-        r = _eval(t.right, env, spark, cfg)
-        shared = sorted(set(l.columns) & set(r.columns))
-        return l.join(r, on=shared) if shared else l.crossJoin(r)
-    if isinstance(t, AntiJoin):
-        l = _eval(t.left, env, spark, cfg)
-        r = _eval(t.right, env, spark, cfg)
-        shared = sorted(set(l.columns) & set(r.columns))
-        if not shared:
-            # l if r is empty, else nothing; lazy, so no job runs here.
-            return l.join(r.limit(1).select(), how="left_anti")
-        return l.join(r.select(*shared), on=shared, how="left_anti")
-    if isinstance(t, Filter):
-        df = _eval(t.child, env, spark, cfg)
-        if isinstance(t.cond, EqConst):
-            return df.where(F.col(t.cond.col) == F.lit(t.cond.value))
-        if isinstance(t.cond, EqCol):
-            return df.where(F.col(t.cond.col1) == F.col(t.cond.col2))
-        raise TypeError(f"unknown condition {t.cond!r}")
-    if isinstance(t, AntiProject):
-        df = _eval(t.child, env, spark, cfg).drop(*t.cols)
-        # The child is a set; dropping columns that hold one value in
-        # every row keeps it one, so only other columns need a distinct.
-        if set(t.cols) - pinned(t.child).keys():
-            df = df.dropDuplicates()
-        return df
-    if isinstance(t, Rename):
-        return _eval(t.child, env, spark, cfg).withColumnRenamed(t.old, t.new)
-    if isinstance(t, Fix):
-        from .plans import execute_fixpoint  # local import: plans uses eval_spark
+    def lift(t: Term) -> Term:
+        if isinstance(t, Fix):
+            from .plans import execute_fixpoint  # local import: plans uses eval_spark
 
-        return execute_fixpoint(t, env, spark, cfg)
-    raise TypeError(f"not a μ-RA term: {t!r}")
+            return read(execute_fixpoint(t, env, spark, cfg))
+        if isinstance(t, (Rel, Var)):
+            if t.name not in env:
+                raise KeyError(f"relation {t.name!r} not bound")
+            if t.name not in reads:
+                reads[t.name] = read(env[t.name])
+            return reads[t.name]
+        return map_children(t, lift)
+
+    query = lift(term)
+    if isinstance(query, Rel):
+        return next(iter(frames.values()))
+    inputs = {f"{{{key}}}": df.columns for key, df in frames.items()}
+    sql, params = to_sql(query, inputs, marker=":")
+    # to_sql sorts its columns; callers read them in DataFrame-API order.
+    order = ", ".join(columns(query, {n: dict.fromkeys(cs) for n, cs in inputs.items()}))
+    return spark.sql(f"SELECT {order} FROM ({sql})", args=params, **frames)

@@ -1,28 +1,31 @@
-"""SQL backend: compile μ-RA terms to DuckDB SQL and evaluate them.
+"""SQL backend: the one compiler of non-recursive μ-RA, and DuckDB.
 
-This is the reproduction's substitute for the paper's PostgreSQL
-backend (see DESIGN.md §4): it provides
-
-* :func:`to_sql` — non-recursive μ-RA term → a single SELECT;
+* :func:`to_sql` — fixpoint-free μ-RA term → a single SELECT. Both SQL
+  engines run it: DuckDB here, and Spark SQL through
+  :func:`repro.core.compiler_spark.eval_spark`, so Catalyst optimizes it
+  (paper §IV; DESIGN.md §4).
 * :func:`eval_duckdb` — full terms (incl. fixpoints) on a DuckDB
-  connection, fixpoints run as semi-naive loops issuing SQL per
-  iteration against temp tables (exactly how the paper drives a local
-  PostgreSQL instance per worker in P_plw^pg, and how the centralized
-  μ-RA baseline runs).
+  connection, the reproduction's substitute for the paper's PostgreSQL
+  backend (DESIGN.md §4). Fixpoints run as semi-naive loops issuing SQL
+  per iteration against temp tables (exactly how the paper drives a
+  local PostgreSQL instance per worker in P_plw^pg, and how the
+  centralized μ-RA baseline runs).
 
 Compiled SELECTs always project an explicit, sorted column list so
-set-operations line up positionally.
+set-operations line up positionally. Constants are bound as named
+parameters, never quoted into the text: Spark SQL reads backslash
+escapes in string literals and DuckDB does not.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import duckdb
 import pandas as pd
 
 from .compiler_pandas import CapacityError
-from .fcond import check_fcond, constant_variable_split, union_branches
+from .fcond import MAX_ITERATIONS, check_fcond, constant_variable_split
 from .terms import (
     AntiJoin,
     AntiProject,
@@ -36,34 +39,32 @@ from .terms import (
     SchemaError,
     Term,
     Union_,
+    Value,
     Var,
     map_children,
+    pinned,
     schema,
 )
-
-MAX_ITERATIONS = 100_000
-
-
-def _quote(v) -> str:
-    if isinstance(v, str):
-        return "'" + v.replace("'", "''") + "'"
-    return repr(v)
 
 
 def to_sql(
     t: Term,
-    env: Mapping[str, frozenset[str]],
+    env: Mapping[str, Iterable[str]],
     bound: Mapping[str, str] | None = None,
-) -> str:
-    """Compile a fixpoint-free μ-RA term to a DuckDB SELECT.
+    marker: str = "$",
+) -> tuple[str, dict[str, Value]]:
+    """Compile a fixpoint-free μ-RA term to one SELECT and its parameters.
 
-    ``env`` gives the schema of each base relation; ``bound`` maps any
+    ``env`` gives the columns of each base relation; ``bound`` maps any
     free recursion variable to the *table name* holding its current
-    value (used by the semi-naive loop).
+    value (used by the semi-naive loop). Each σ constant is a named
+    parameter, ``marker`` and its name: DuckDB's marker is ``$``, Spark
+    SQL's ``:``. (Spark binds ``?`` markers in an order of its own, not
+    the text's.)
     """
     bound = dict(bound or {})
     counter = itertools.count()
-    bound_schemas = {v: None for v in bound}  # filled lazily below
+    params: dict[str, Value] = {}
 
     def sch(t: Term) -> frozenset[str]:
         # Recursion variables carry the schema of the table they are
@@ -113,13 +114,18 @@ def to_sql(
         if isinstance(t, Filter):
             cols = ", ".join(sorted(sch(t.child)))
             if isinstance(t.cond, EqConst):
-                w = f"{t.cond.col} = {_quote(t.cond.value)}"
+                name = f"p{len(params)}"
+                params[name] = t.cond.value
+                w = f"{t.cond.col} = {marker}{name}"
             else:
                 w = f"{t.cond.col1} = {t.cond.col2}"
             return f"SELECT {cols} FROM ({rec(t.child)}) AS {a} WHERE {w}"
         if isinstance(t, AntiProject):
             keep = ", ".join(sorted(sch(t.child) - set(t.cols)))
-            return f"SELECT DISTINCT {keep} FROM ({rec(t.child)}) AS {a}"
+            # The child is a set; dropping columns that hold one value in
+            # every row keeps it one, so only other columns need a DISTINCT.
+            distinct = "DISTINCT " if set(t.cols) - pinned(t.child).keys() else ""
+            return f"SELECT {distinct}{keep} FROM ({rec(t.child)}) AS {a}"
         if isinstance(t, Rename):
             cs = sch(t.child)
             # Emit in sorted *output* order: set-ops align positionally.
@@ -132,8 +138,7 @@ def to_sql(
             raise SchemaError("to_sql only compiles fixpoint-free terms")
         raise TypeError(f"not a μ-RA term: {t!r}")
 
-    del bound_schemas
-    return rec(t)
+    return rec(t), params
 
 
 class DuckdbEvaluator:
@@ -172,8 +177,9 @@ class DuckdbEvaluator:
         """Evaluate ``term`` into a temp table; returns the table name."""
         term = self._lift_fixpoints(term, bound)
         name = f"__t_{next(self._n)}"
-        sql = to_sql(term, self.env, bound)
-        self.con.execute(f"CREATE OR REPLACE TEMP TABLE {name} AS SELECT DISTINCT * FROM ({sql})")
+        # The tables are sets, and so is a SELECT of to_sql over sets.
+        sql, params = to_sql(term, self.env, bound)
+        self.con.execute(f"CREATE OR REPLACE TEMP TABLE {name} AS SELECT * FROM ({sql})", params)
         self.env[name] = schema(
             term, self.env, {v: self.env[f"__var__{v}"] for v in bound}
         )
@@ -209,16 +215,15 @@ class DuckdbEvaluator:
         self.con.execute(f"CREATE OR REPLACE TEMP TABLE {dt} AS SELECT {cols} FROM {xt}")
         self.env[xt] = self.env[dt] = fix_schema
         self.env[f"__var__{var}"] = fix_schema
-        branches = [self._lift_fixpoints(b, bound) for b in union_branches(phi)]
-        phi_sql = " UNION ".join(
-            f"({to_sql(b, self.env, {**bound, var: dt})})" for b in branches
-        )
+        phi = self._lift_fixpoints(phi, bound)
+        phi_sql, params = to_sql(phi, self.env, {**bound, var: dt})
         if self.row_cap is not None:
             size = self.con.execute(f"SELECT count(*) FROM {xt}").fetchone()[0]
         for _ in range(MAX_ITERATIONS):
             self.con.execute(
                 f"CREATE OR REPLACE TEMP TABLE {dt}__next AS "
-                f"SELECT {cols} FROM ({phi_sql}) EXCEPT SELECT {cols} FROM {xt}"
+                f"SELECT {cols} FROM ({phi_sql}) EXCEPT SELECT {cols} FROM {xt}",
+                params,
             )
             n = self.con.execute(f"SELECT count(*) FROM {dt}__next").fetchone()[0]
             self.con.execute(f"DROP TABLE {dt}")

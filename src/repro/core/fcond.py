@@ -26,6 +26,11 @@ from .terms import (
 )
 
 
+# Every semi-naive loop (pandas, DuckDB, P_gld, Pregel supersteps) gives
+# up after this many iterations.
+MAX_ITERATIONS = 100_000
+
+
 class FCondError(ValueError):
     """The fixpoint violates one of the F_cond conditions."""
 

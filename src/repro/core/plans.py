@@ -41,22 +41,20 @@ from typing import Iterator, Mapping
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import DataType, StructField, StructType
+from pyspark.sql.types import StructField, StructType
 
 from .compiler_pandas import CapacityError, eval_pandas, seminaive_loop
-from .compiler_spark import FixConfig, eval_spark
+from .compiler_spark import FixConfig, columns, eval_spark
 from .compiler_sql import DuckdbEvaluator
-from .fcond import check_fcond, constant_variable_split, union_branches, union_of
+from .fcond import MAX_ITERATIONS, check_fcond, constant_variable_split
 from .stabilizer import stable_columns
 from .terms import (
     AntiProject,
     Filter,
     Fix,
-    Join,
     Rel,
     Rename,
     Term,
-    children,
     is_constant_in,
     map_children,
     pinned,
@@ -234,23 +232,6 @@ def _total_rows(dfs: Mapping[str, DataFrame], copies: Counter[str]) -> int:
     return rows[0][0] or 0
 
 
-def _types(t: Term, inputs: Mapping[str, StructType]) -> dict[str, DataType]:
-    """The Spark type of each column of ``t``, a fixpoint-free term over
-    the relations typed by ``inputs``."""
-    if isinstance(t, Rel):
-        return {f.name: f.dataType for f in inputs[t.name]}
-    if isinstance(t, Join):
-        return {**_types(t.left, inputs), **_types(t.right, inputs)}
-    # σ, π̃ and ρ keep their child's columns, ∪ and ▷ their left side's.
-    types = _types(children(t)[0], inputs)
-    if isinstance(t, Rename):
-        types[t.new] = types.pop(t.old)
-    elif isinstance(t, AntiProject):
-        for c in t.cols:
-            del types[c]
-    return types
-
-
 def _hand_off(
     fix: Fix, env: Mapping[str, DataFrame], spark: SparkSession, cfg: FixConfig
 ) -> DataFrame:
@@ -277,7 +258,7 @@ def _hand_off(
     cfg.chosen.append("gld→local")
 
     const, _ = constant_variable_split(local)
-    types = _types(const, {name: df.schema for name, df in dfs.items()})
+    types = columns(const, {n: {f.name: f.dataType for f in df.schema} for n, df in dfs.items()})
     out = StructType([StructField(c, t) for c, t in types.items()])
     bc = spark.sparkContext.broadcast({name: df.toPandas() for name, df in dfs.items()})
     row_cap = cfg.row_cap
@@ -295,23 +276,6 @@ def _hand_off(
 # ---------------------------------------------------------------------------
 
 
-def _eval_phi_distributed(
-    phi_branches: list[Term],
-    var: str,
-    delta: DataFrame,
-    env: Mapping[str, DataFrame],
-    spark: SparkSession,
-    cfg: FixConfig,
-) -> DataFrame:
-    out: DataFrame | None = None
-    bound = {**env, var: delta}
-    for b in phi_branches:
-        d = eval_spark(b, bound, spark, cfg)
-        out = d if out is None else out.unionByName(d)
-    assert out is not None
-    return out
-
-
 def _run_gld(
     phi2: Term,
     var: str,
@@ -320,20 +284,18 @@ def _run_gld(
     spark: SparkSession,
     cfg: FixConfig,
 ) -> DataFrame:
-    """Driver loop; distributed ∪/∖ with a distinct per iteration."""
-    branches = union_branches(phi2)
+    """Driver loop; distributed ∪/∖ with a distinct per iteration.
+
+    φ's branches are one term, so one query evaluates them and their
+    distinct union (eval_spark returns a set)."""
     cols = list(seeds.columns)
 
     x = seeds.localCheckpoint()
     total = None
     new = x
-    for _ in range(cfg.max_iterations):
-        delta = _eval_phi_distributed(branches, var, new, cenv, spark, cfg)
-        new = (
-            delta.dropDuplicates()
-            .join(x, on=cols, how="left_anti")
-            .localCheckpoint()
-        )
+    for _ in range(MAX_ITERATIONS):
+        delta = eval_spark(phi2, {**cenv, var: new}, spark, cfg)
+        new = delta.join(x, on=cols, how="left_anti").localCheckpoint()
         n_new = new.count()
         if n_new == 0:
             return x
@@ -344,7 +306,7 @@ def _run_gld(
         # new is distinct and disjoint from x, so the union stays a set
         # without a further distinct.
         x = x.unionByName(new).localCheckpoint()
-    raise RuntimeError(f"fixpoint did not converge in {cfg.max_iterations} iterations")
+    raise RuntimeError(f"fixpoint did not converge in {MAX_ITERATIONS} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +343,6 @@ def _run_plw(
     # Proposition 3 + stability ⇒ partition-local fixpoints are disjoint.
     seeds = seeds.repartition(n, *part_cols)
     bc = spark.sparkContext.broadcast({name: df.toPandas() for name, df in rels.items()})
-    phi_term = union_of(union_branches(phi2))
     out_cols = seeds.columns
     row_cap = cfg.row_cap
 
@@ -393,11 +354,11 @@ def _run_plw(
         if local_seeds.empty:
             return
         if engine == "plw_s":
-            result = seminaive_loop(phi_term, var, local_seeds, bc.value, row_cap)
+            result = seminaive_loop(phi2, var, local_seeds, bc.value, row_cap)
         else:
             ev = DuckdbEvaluator({**bc.value, "__seeds": local_seeds}, row_cap=row_cap)
             try:
-                xt = ev.run_seminaive(phi_term, var, "__seeds")
+                xt = ev.run_seminaive(phi2, var, "__seeds")
                 result = ev.con.execute(f"SELECT * FROM {xt}").fetchdf()
             finally:
                 ev.con.close()
