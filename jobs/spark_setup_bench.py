@@ -12,12 +12,14 @@ yago_lite 5k and 30k, it times two phases of each query:
 * ``action``: ``count()`` of the result.
 
 Spark jobs are counted per phase from job groups (status store), and
-the last run records, for each job, the names of its stages: their call
-sites, such as ``toPandas at plans.py:123``. Each query runs once to
-warm up, then REPEATS times; the JSON records every time, the medians,
-the jobs of the last run, ``cfg.chosen``, the row
-count (the same in every run, and for both systems) and the environment
-(cores, Spark and Python versions, commit of the evaluated sources, and
+the last run records, for each job, the names of the stages that ran:
+their call sites, such as ``toPandas at plans.py:123``, and task counts.
+Under adaptive query execution each shuffle stage of an action is a job
+of its own, named after AQE's thread, not the step. Each query runs
+once to warm up, then REPEATS times; the JSON records every time, the
+medians, the jobs of the last run, ``cfg.chosen``, the row count (the
+same in every run, and for both systems) and the environment (cores,
+Spark and Python versions, commit of the evaluated sources, and
 ``noop_task_s``: the median time of a one-task ``mapInPandas`` that does
 nothing, the fixed cost of every P_plw and hand-off task).
 
@@ -55,6 +57,7 @@ QIDS = ("Q1", "Q21", "Q25")
 SYSTEMS = ("dist", "bdl")
 
 _groups = itertools.count()
+_DIRS = re.compile(r"\S*/")
 
 
 def noop_task_s(spark) -> float:
@@ -71,12 +74,14 @@ def noop_task_s(spark) -> float:
 
 
 def stage_names(tracker, group: str) -> list[list[str]]:
-    """For each job of ``group``, oldest first, the names of its stages
-    that ran, with each call site's directory dropped."""
+    """For each job of ``group``, oldest first, the stages that ran (not
+    those skipped because they re-read an earlier stage's shuffle output):
+    their names, with each call site's directory dropped, and task counts."""
     out = []
     for job in sorted(tracker.getJobIdsForGroup(group)):
         stages = (tracker.getStageInfo(s) for s in sorted(tracker.getJobInfo(job).stageIds))
-        out.append([re.sub(r"\S*/", "", s.name) for s in stages if s is not None])
+        out.append([f"{_DIRS.sub('', s.name)} ({s.numTasks} tasks)"
+                    for s in stages if s is not None and s.numCompletedTasks])
     return out
 
 
