@@ -15,7 +15,9 @@ Spark jobs are counted per phase from job groups (status store), and
 the last run records, for each job, the names of the stages that ran:
 their call sites, such as ``toPandas at plans.py:123``, and task counts.
 Under adaptive query execution each shuffle stage of an action is a job
-of its own, named after AQE's thread, not the step. Each query runs
+of its own, named after AQE's thread, not the step; so the last run also
+records the shuffle stages and exchanges of the action's final adaptive
+plan, which tell the stages apart. Each query runs
 once to warm up, then REPEATS times; the JSON records every time, the
 medians, the jobs of the last run, ``cfg.chosen``, the row count (the
 same in every run, and for both systems) and the environment (cores,
@@ -58,6 +60,7 @@ SYSTEMS = ("dist", "bdl")
 
 _groups = itertools.count()
 _DIRS = re.compile(r"\S*/")
+_IDS = re.compile(r"#\d+L?|, \[plan_id=\d+\]")
 
 
 def noop_task_s(spark) -> float:
@@ -85,6 +88,14 @@ def stage_names(tracker, group: str) -> list[list[str]]:
     return out
 
 
+def plan_exchanges(df) -> list[str]:
+    """The shuffle stages and exchanges of the final adaptive plan of
+    ``df``, once an action has run it, top down, without expression ids."""
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    nodes = (line.lstrip(" :+-") for line in plan.split("== Initial Plan ==")[0].splitlines())
+    return [_IDS.sub("", n) for n in nodes if re.match(r"\w*(Exchange|QueryStage)\b", n)]
+
+
 def run_once(spark, g, stats, consts, qid: str, system: str) -> dict:
     sc = spark.sparkContext
     tracker = sc.statusTracker()
@@ -98,7 +109,8 @@ def run_once(spark, g, stats, consts, qid: str, system: str) -> dict:
     df = eval_spark(term, {GRAPH: g}, spark, cfg)
     t1 = time.perf_counter()
     sc.setJobGroup(action, action)
-    rows = df.count()
+    counted = df.groupBy().count()  # what df.count() runs
+    rows = counted.collect()[0][0]
     t2 = time.perf_counter()
     sc._jsc.sc().listenerBus().waitUntilEmpty()
     return {
@@ -108,6 +120,7 @@ def run_once(spark, g, stats, consts, qid: str, system: str) -> dict:
         "action_jobs": len(tracker.getJobIdsForGroup(action)),
         "build_stages": stage_names(tracker, build),
         "action_stages": stage_names(tracker, action),
+        "action_exchanges": plan_exchanges(counted),
         "chosen": cfg.chosen,
         "rows": rows,
     }
@@ -136,6 +149,7 @@ def bench_scale(spark, n_edges: int) -> dict:
                 "action_jobs": last["action_jobs"],
                 "build_stages": last["build_stages"],
                 "action_stages": last["action_stages"],
+                "action_exchanges": last["action_exchanges"],
                 "chosen": last["chosen"],
                 "rows": last["rows"],
             }

@@ -87,9 +87,11 @@ def eval_spark(
     env: Mapping[str, DataFrame],
     spark: SparkSession,
     cfg: FixConfig | None = None,
+    distinct: bool = True,
 ) -> DataFrame:
     """Evaluate ``term`` over DataFrames ``env`` (assumed duplicate-free,
-    per μ-RA set semantics). Returns a distinct DataFrame.
+    per μ-RA set semantics). Returns a distinct DataFrame, or with
+    ``distinct=False`` one whose outermost ∪ and π̃ keep duplicates.
 
     Each maximal fixpoint runs through the physical plans. A bare relation
     or fixpoint is returned as its DataFrame; anything else is one
@@ -124,7 +126,7 @@ def eval_spark(
     if isinstance(query, Rel):
         return next(iter(frames.values()))
     inputs = {f"{{{key}}}": df.columns for key, df in frames.items()}
-    sql, params = to_sql(query, inputs, marker=":")
+    sql, params = to_sql(query, inputs, marker=":", distinct=distinct)
     # to_sql sorts its columns; callers read them in DataFrame-API order.
     order = ", ".join(columns(query, {n: dict.fromkeys(cs) for n, cs in inputs.items()}))
     return spark.sql(f"SELECT {order} FROM ({sql})", args=params, **frames)

@@ -6,10 +6,10 @@
   (paper §IV; DESIGN.md §4).
 * :func:`eval_duckdb` — full terms (incl. fixpoints) on a DuckDB
   connection, the reproduction's substitute for the paper's PostgreSQL
-  backend (DESIGN.md §4). Fixpoints run as semi-naive loops issuing SQL
-  per iteration against temp tables (exactly how the paper drives a
-  local PostgreSQL instance per worker in P_plw^pg, and how the
-  centralized μ-RA baseline runs).
+  backend (DESIGN.md §4). Each fixpoint runs as one ``WITH RECURSIVE``
+  query, in which DuckDB itself evaluates semi-naively. P_plw^pg runs
+  its partition-local fixpoints this way, one local engine per worker,
+  and so does the centralized μ-RA baseline.
 
 Compiled SELECTs always project an explicit, sorted column list so
 set-operations line up positionally. Constants are bound as named
@@ -25,7 +25,7 @@ import duckdb
 import pandas as pd
 
 from .compiler_pandas import CapacityError
-from .fcond import MAX_ITERATIONS, check_fcond, constant_variable_split
+from .fcond import check_fcond, constant_variable_split
 from .terms import (
     AntiJoin,
     AntiProject,
@@ -52,6 +52,7 @@ def to_sql(
     env: Mapping[str, Iterable[str]],
     bound: Mapping[str, str] | None = None,
     marker: str = "$",
+    distinct: bool = True,
 ) -> tuple[str, dict[str, Value]]:
     """Compile a fixpoint-free μ-RA term to one SELECT and its parameters.
 
@@ -60,20 +61,19 @@ def to_sql(
     value (used by the semi-naive loop). Each σ constant is a named
     parameter, ``marker`` and its name: DuckDB's marker is ``$``, Spark
     SQL's ``:``. (Spark binds ``?`` markers in an order of its own, not
-    the text's.)
+    the text's.) With ``distinct=False`` the outermost ∪ and π̃ keep
+    duplicate rows, for a caller that removes them itself.
     """
     bound = dict(bound or {})
     counter = itertools.count()
     params: dict[str, Value] = {}
 
     def sch(t: Term) -> frozenset[str]:
-        # Recursion variables carry the schema of the table they are
-        # bound to; for SQL generation the caller guarantees the loop
-        # table has the fixpoint schema, which we thread via env lookups
-        # using a pseudo-entry "__var__<name>".
+        # A bound recursion variable has the fixpoint's schema, which
+        # the caller puts in env as "__var__<name>".
         return schema(t, env, {v: env[f"__var__{v}"] for v in bound})
 
-    def rec(t: Term) -> str:
+    def rec(t: Term, bag: bool = False) -> str:
         a = f"t{next(counter)}"
         b = f"t{next(counter)}"
         if isinstance(t, Rel):
@@ -85,7 +85,8 @@ def to_sql(
             cols = ", ".join(sorted(env[f"__var__{t.name}"]))
             return f"SELECT {cols} FROM {bound[t.name]}"
         if isinstance(t, Union_):
-            return f"({rec(t.left)}) UNION ({rec(t.right)})"
+            op = "UNION ALL" if bag else "UNION"
+            return f"({rec(t.left, bag)}) {op} ({rec(t.right, bag)})"
         if isinstance(t, Join):
             ls, rs = sch(t.left), sch(t.right)
             shared = sorted(ls & rs)
@@ -119,13 +120,13 @@ def to_sql(
                 w = f"{t.cond.col} = {marker}{name}"
             else:
                 w = f"{t.cond.col1} = {t.cond.col2}"
-            return f"SELECT {cols} FROM ({rec(t.child)}) AS {a} WHERE {w}"
+            return f"SELECT {cols} FROM ({rec(t.child, bag)}) AS {a} WHERE {w}"
         if isinstance(t, AntiProject):
             keep = ", ".join(sorted(sch(t.child) - set(t.cols)))
             # The child is a set; dropping columns that hold one value in
             # every row keeps it one, so only other columns need a DISTINCT.
-            distinct = "DISTINCT " if set(t.cols) - pinned(t.child).keys() else ""
-            return f"SELECT {distinct}{keep} FROM ({rec(t.child)}) AS {a}"
+            dedup = not bag and set(t.cols) - pinned(t.child).keys()
+            return f"SELECT {'DISTINCT ' if dedup else ''}{keep} FROM ({rec(t.child)}) AS {a}"
         if isinstance(t, Rename):
             cs = sch(t.child)
             # Emit in sorted *output* order: set-ops align positionally.
@@ -133,20 +134,20 @@ def to_sql(
             out = ", ".join(
                 f"{t.old} AS {t.new}" if c == t.new else c for c in out_cols
             )
-            return f"SELECT {out} FROM ({rec(t.child)}) AS {a}"
+            return f"SELECT {out} FROM ({rec(t.child, bag)}) AS {a}"
         if isinstance(t, Fix):
             raise SchemaError("to_sql only compiles fixpoint-free terms")
         raise TypeError(f"not a μ-RA term: {t!r}")
 
-    return rec(t), params
+    return rec(t, not distinct), params
 
 
 class DuckdbEvaluator:
     """Evaluate arbitrary μ-RA terms on one DuckDB connection.
 
-    Fixpoints run Algorithm 1 with temp tables ``__fix_x_<n>`` (the
-    accumulated X) and ``__fix_d_<n>`` (the delta), mirroring how the
-    paper drives PostgreSQL.
+    Every table of the evaluator is a set. Each fixpoint is one recursive
+    query whose result becomes the temp table ``__fix_x_<n>``; the paper
+    drives PostgreSQL the same way, one local engine per worker.
     """
 
     def __init__(
@@ -168,22 +169,11 @@ class DuckdbEvaluator:
             self.env[name] = frozenset(df.columns)
 
     def evaluate(self, term: Term) -> pd.DataFrame:
-        name = self._materialize(term, {})
-        return self.con.execute(f"SELECT * FROM {name}").fetchdf()
+        # One SELECT over the tables, a top-level fixpoint's result included.
+        sql, params = to_sql(self._lift_fixpoints(term, {}), self.env)
+        return self.con.execute(sql, params).fetchdf()
 
     # -- internals ---------------------------------------------------------
-
-    def _materialize(self, term: Term, bound: dict[str, str]) -> str:
-        """Evaluate ``term`` into a temp table; returns the table name."""
-        term = self._lift_fixpoints(term, bound)
-        name = f"__t_{next(self._n)}"
-        # The tables are sets, and so is a SELECT of to_sql over sets.
-        sql, params = to_sql(term, self.env, bound)
-        self.con.execute(f"CREATE OR REPLACE TEMP TABLE {name} AS SELECT * FROM ({sql})", params)
-        self.env[name] = schema(
-            term, self.env, {v: self.env[f"__var__{v}"] for v in bound}
-        )
-        return name
 
     def _lift_fixpoints(self, t: Term, bound: dict[str, str]) -> Term:
         """Replace every maximal Fix subterm by a Rel over its
@@ -195,53 +185,61 @@ class DuckdbEvaluator:
     def _eval_fix(self, fix: Fix, bound: dict[str, str]) -> str:
         check_fcond(fix)
         const, phi = constant_variable_split(fix)
-        seeds = self._materialize(const, bound)
-        return self.run_seminaive(phi, fix.var, seeds, bound)
+        seeds = self._lift_fixpoints(const, bound)
+        if not isinstance(seeds, Rel):
+            # The tables are sets, and so is a SELECT of to_sql over sets.
+            name = f"__t_{next(self._n)}"
+            sql, params = to_sql(seeds, self.env, bound)
+            self.con.execute(f"CREATE OR REPLACE TEMP TABLE {name} AS {sql}", params)
+            self.env[name] = schema(seeds, self.env, {v: self.env[f"__var__{v}"] for v in bound})
+            seeds = Rel(name)
+        return self.run_seminaive(phi, fix.var, seeds.name, bound)
 
     def run_seminaive(
         self, phi: Term, var: str, seeds_table: str, bound: dict[str, str] | None = None
     ) -> str:
-        """Semi-naive loop; ``seeds_table`` is the constant part R.
+        """Algorithm 1 from the constant part R in ``seeds_table``; returns
+        the table holding the fixpoint. Public: P_plw^pg calls it.
 
-        Returns the name of the temp table holding the fixpoint. Public
-        because P_plw^pg calls it directly with a partition's seeds.
+        ``WITH RECURSIVE … UNION`` feeds each step only its new rows and
+        deduplicates against one hash table of X: DuckDB runs the loop.
+        The row cap is its LIMIT, which stops a runaway closure early.
         """
         bound = dict(bound or {})
         i = next(self._n)
-        xt, dt = f"__fix_x_{i}", f"__fix_d_{i}"
+        xt, w = f"__fix_x_{i}", f"__fix_w_{i}"
         fix_schema = self.env[seeds_table]
         cols = ", ".join(sorted(fix_schema))
-        self.con.execute(f"CREATE OR REPLACE TEMP TABLE {xt} AS SELECT DISTINCT {cols} FROM {seeds_table}")
-        self.con.execute(f"CREATE OR REPLACE TEMP TABLE {dt} AS SELECT {cols} FROM {xt}")
-        self.env[xt] = self.env[dt] = fix_schema
-        self.env[f"__var__{var}"] = fix_schema
+        self.env[xt] = self.env[f"__var__{var}"] = fix_schema
         phi = self._lift_fixpoints(phi, bound)
-        phi_sql, params = to_sql(phi, self.env, {**bound, var: dt})
-        if self.row_cap is not None:
-            size = self.con.execute(f"SELECT count(*) FROM {xt}").fetchone()[0]
-        for _ in range(MAX_ITERATIONS):
-            self.con.execute(
-                f"CREATE OR REPLACE TEMP TABLE {dt}__next AS "
-                f"SELECT {cols} FROM ({phi_sql}) EXCEPT SELECT {cols} FROM {xt}",
-                params,
-            )
-            n = self.con.execute(f"SELECT count(*) FROM {dt}__next").fetchone()[0]
-            self.con.execute(f"DROP TABLE {dt}")
-            self.con.execute(f"ALTER TABLE {dt}__next RENAME TO {dt}")
-            if n == 0:
-                return xt
-            self.con.execute(f"INSERT INTO {xt} SELECT {cols} FROM {dt}")
-            if self.row_cap is not None:
-                # The new rows are disjoint from X: keep |X| as a running total.
-                size += n
-                if size > self.row_cap:
-                    raise CapacityError(f"fixpoint exceeded row_cap={self.row_cap}")
-        raise RuntimeError(f"fixpoint did not converge in {MAX_ITERATIONS} iterations")
+        phi_sql, params = to_sql(phi, self.env, {**bound, var: w})
+        limit = "" if self.row_cap is None else f" LIMIT {self.row_cap + 1}"
+        self.con.execute(
+            f"CREATE OR REPLACE TEMP TABLE {xt} AS WITH RECURSIVE {w}({cols}) AS "
+            f"(SELECT {cols} FROM {seeds_table} UNION SELECT {cols} FROM ({phi_sql})) "
+            f"SELECT {cols} FROM {w}{limit}",
+            params,
+        )
+        size = f"SELECT count(*) FROM {xt}"
+        if self.row_cap is None or self.con.execute(size).fetchone()[0] <= self.row_cap:
+            return xt
+        # Like the pandas kernel, raise only if φ added rows: not if the
+        # seeds alone are above the cap and φ adds nothing to them.
+        step, step_params = to_sql(phi, self.env, {**bound, var: seeds_table})
+        seeds_only = (
+            f"SELECT (SELECT count(*) FROM {seeds_table}) > {self.row_cap} AND NOT EXISTS "
+            f"(SELECT {cols} FROM ({step}) EXCEPT SELECT {cols} FROM {seeds_table})"
+        )
+        if self.con.execute(seeds_only, step_params).fetchone()[0]:
+            return seeds_table
+        raise CapacityError(f"fixpoint exceeded row_cap={self.row_cap}")
 
 
-def eval_duckdb(term: Term, tables: Mapping[str, pd.DataFrame]) -> pd.DataFrame:
+def eval_duckdb(
+    term: Term, tables: Mapping[str, pd.DataFrame], row_cap: int | None = None
+) -> pd.DataFrame:
     """One-shot convenience: evaluate ``term`` over pandas ``tables``."""
-    ev = DuckdbEvaluator(tables)
+    ev = DuckdbEvaluator(tables, row_cap=row_cap)
     try:
         return ev.evaluate(term)
     finally:

@@ -26,8 +26,8 @@ from .terms import (
 )
 
 
-# Every semi-naive loop (pandas, DuckDB, P_gld, Pregel supersteps) gives
-# up after this many iterations.
+# Loops driven from Python (pandas, P_gld, Pregel supersteps) give up after
+# this many iterations; DuckDB's recursive queries are bounded by the row cap.
 MAX_ITERATIONS = 100_000
 
 

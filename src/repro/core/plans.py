@@ -147,7 +147,8 @@ def execute_fixpoint(
         if not stable:
             return _hand_off(fix, env, spark, cfg)
         strategy = "plw_s"
-    phi2, seeds, cenv = _bind_constants(fix, env, spark, cfg)
+    # P_plw's local engines deduplicate their seeds; P_gld needs a set.
+    phi2, seeds, cenv = _bind_constants(fix, env, spark, cfg, strategy == "gld" or not stable)
     if strategy in ("plw_s", "plw_pg") and not stable:
         # Forced P_plw without a stable column would lose the
         # disjointness guarantee; the paper never does this — fall back.
@@ -161,21 +162,23 @@ def execute_fixpoint(
 
 
 def _bind_constants(
-    fix: Fix, env: Mapping[str, DataFrame], spark: SparkSession, cfg: FixConfig
+    fix: Fix, env: Mapping[str, DataFrame], spark: SparkSession, cfg: FixConfig,
+    distinct: bool = True,
 ) -> tuple[Term, DataFrame, dict[str, DataFrame]]:
     """φ over its constant relations, the seeds, and ``env`` with those
     relations bound, for the distributed plans.
 
     φ's constants are evaluated once, at their first use; every plan reads
     them, and so do the seeds wherever they compute the same relation.
-    eval_spark returns a set, so the seeds need no distinct.
+    The seeds are a set unless ``distinct`` is false: then their
+    outermost ∪ and π̃ keep duplicates.
     """
     const, phi = constant_variable_split(fix)
     phi2, consts = extract_constants(phi, fix.var, cfg.fresh())
     cenv = dict(env)
     for name, t in consts.items():
         cenv[name] = eval_spark(t, env, spark, cfg).localCheckpoint(eager=False)
-    seeds = eval_spark(read_constants(const, consts), cenv, spark, cfg)
+    seeds = eval_spark(read_constants(const, consts), cenv, spark, cfg, distinct)
     return phi2, seeds, cenv
 
 
@@ -326,7 +329,8 @@ def _run_plw(
 ) -> DataFrame:
     """Run φ's semi-naive loop on each worker over its partition of
     ``seeds`` by the stable columns ``part_cols``, with the relations φ
-    reads besides ``var`` broadcast."""
+    reads besides ``var`` broadcast. Equal rows of ``seeds`` share a
+    partition, whose engine removes the duplicates."""
     if engine not in ("plw_s", "plw_pg"):
         raise ValueError(f"unknown P_plw engine {engine!r}")
     rels = {s.name: cenv[s.name] for s in walk(phi2) if isinstance(s, Rel) and s.name != var}
@@ -336,7 +340,7 @@ def _run_plw(
     # in one job before anything is collected, so a fallback collects nothing.
     if rels and _total_rows(rels, Counter(rels.keys())) > _broadcast_budget(cfg):
         cfg.chosen[-1] = "gld(broadcast-fallback)"
-        return _run_gld(phi2, var, seeds, cenv, spark, cfg)
+        return _run_gld(phi2, var, seeds.distinct(), cenv, spark, cfg)
 
     n = cfg.num_partitions or spark.sparkContext.defaultParallelism
     # Hash-repartition the constant part by the stable column(s):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core import compiler_pandas
 from repro.core.compiler_pandas import (
+    CapacityError,
     anti_join,
     dedup,
     eval_pandas,
@@ -245,6 +246,66 @@ class TestSqlCompiler:
         a = eval_pandas(outer, {"R": r, "S": s})
         b = eval_duckdb(outer, {"R": r, "S": s})
         assert rows(a) == rows(b)
+
+
+TC = Fix("X", Union_(Rel("R"), compose(Var("X"), Rel("R"))))
+CHAIN = pd.DataFrame({"src": [0, 1, 2, 3], "dst": [1, 2, 3, 4]})  # closure: 10 rows
+# 500 seeds on a 10,000-node cycle: a closure of 5,000,000 rows, 10,000 iterations deep.
+CYCLE = pd.DataFrame({"src": np.arange(10_000), "dst": (np.arange(10_000) + 1) % 10_000})
+CYCLE_ENV = {"R": CYCLE, "S": CYCLE.iloc[:500]}
+
+
+@pytest.mark.parametrize("evaluate", [eval_pandas, eval_duckdb], ids=["pandas", "duckdb"])
+class TestRowCap:
+    """Both local engines raise CapacityError exactly when φ adds rows to
+    a fixpoint above the cap."""
+
+    def test_cap_equal_to_fixpoint(self, evaluate):
+        assert len(evaluate(TC, {"R": CHAIN}, 10)) == 10
+
+    def test_one_row_over_cap(self, evaluate):
+        with pytest.raises(CapacityError):
+            evaluate(TC, {"R": CHAIN}, 9)
+
+    def test_seeds_over_cap_then_growing(self, evaluate):
+        with pytest.raises(CapacityError):
+            evaluate(TC, {"R": CHAIN}, 3)
+
+    def test_seeds_alone_over_cap(self, evaluate):
+        """φ adds nothing to seeds above the cap: the seeds are returned."""
+        fix = Fix("X", Union_(Rel("R"), compose(Var("X"), Rel("S"))))
+        far = pd.DataFrame({"src": [7], "dst": [8]})
+        out = evaluate(fix, {"R": CHAIN, "S": far}, 3)
+        assert rows(out) == rows(CHAIN)
+
+    @pytest.mark.parametrize("cap, ok", [(10, True), (9, False)])
+    def test_nested_fixpoint_cap(self, evaluate, cap, ok):
+        """The inner closure has 10 rows, the outer fixpoint 5."""
+        inner = Fix("Y", Union_(Rel("R"), compose(Var("Y"), Rel("R"))))
+        outer = Fix("X", Union_(Rel("S"), compose(Var("X"), inner, "m1")))
+        env = {"R": CHAIN, "S": pd.DataFrame({"src": [100], "dst": [0]})}
+        if ok:
+            assert len(evaluate(outer, env, cap)) == 5
+        else:
+            with pytest.raises(CapacityError):
+                evaluate(outer, env, cap)
+
+    def test_runaway_closure(self, evaluate):
+        fix = Fix("X", Union_(Rel("S"), compose(Var("X"), Rel("R"))))
+        with pytest.raises(CapacityError):
+            evaluate(fix, CYCLE_ENV, 1_000)
+
+
+def test_duckdb_cap_is_the_limit():
+    """The DuckDB fixpoint query stops at row_cap + 1 rows."""
+    ev = DuckdbEvaluator(CYCLE_ENV, row_cap=1_000)
+    try:
+        with pytest.raises(CapacityError):
+            ev.run_seminaive(compose(Var("X"), Rel("R")), "X", "S")
+        (size,) = ev.con.execute("SELECT count(*) FROM __fix_x_0").fetchone()
+        assert size == 1_001
+    finally:
+        ev.con.close()
 
 
 # Small ids, plus ids at and past the packed key's 32-bit halves (2³¹,

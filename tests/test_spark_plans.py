@@ -246,6 +246,58 @@ def test_plw_results_are_globally_distinct_without_final_distinct(spark):
     assert cfg.chosen == ["plw_s"]
 
 
+def dup_seeds():
+    """Seeds whose outermost π̃ and ∪ make duplicates: each row of S is
+    also in T under two labels."""
+    return Union_(AntiProject(("label",), Rel("T")), Rel("S"))
+
+
+def dup_seeds_env(spark, fig2_e, fig2_s):
+    t = pd.concat([fig2_s.assign(label="a"), fig2_s.assign(label="b")], ignore_index=True)
+    frames = {"T": t, "S": fig2_s, "E": fig2_e}
+    return frames, {k: spark.createDataFrame(v) for k, v in frames.items()}
+
+
+def dup_tc():
+    return Fix("X", Union_(dup_seeds(), compose(Var("X"), Rel("E"))))
+
+
+@pytest.mark.parametrize("strategy", ["plw_s", "plw_pg"])
+def test_plw_seeds_shuffle_once(spark, fig2_e, fig2_s, strategy):
+    """The local engines deduplicate P_plw's seeds, so the seeds' outermost
+    π̃ and ∪ keep duplicates: the repartition by the stable column is the
+    one Exchange below the MapInPandas."""
+    _, env = dup_seeds_env(spark, fig2_e, fig2_s)
+    cfg = FixConfig(strategy=strategy)
+    out = eval_spark(dup_tc(), env, spark, cfg)
+    assert cfg.chosen == [strategy]
+    below = out._jdf.queryExecution().executedPlan().toString().split("MapInPandas", 1)[1]
+    assert below.count("Exchange") == 1
+    assert pairs(out.toPandas()) == FIG2_FIXPOINT
+
+
+def dup_merged_fix():
+    return Fix("Z", Union_(dup_seeds(), Union_(
+        compose(Rel("E"), Var("Z"), "m1"), compose(Var("Z"), Rel("E"), "m2")
+    )))
+
+
+@pytest.mark.parametrize("fix, kwargs, chosen", [
+    (dup_tc(), {"strategy": "gld"}, "gld"),
+    (dup_tc(), {"strategy": "plw_s", "broadcast_rows": 1}, "gld(broadcast-fallback)"),
+    (dup_merged_fix(), {"strategy": "plw_s"}, "gld(no-stable-column)"),
+    (dup_merged_fix(), {"strategy": "auto", "broadcast_rows": 1}, "gld(broadcast-fallback)"),
+], ids=["gld", "plw-broadcast-fallback", "no-stable-column", "hand-off-fallback"])
+def test_gld_seeds_are_sets(spark, fig2_e, fig2_s, fix, kwargs, chosen):
+    """P_gld's X starts as its seeds, so every path to it keeps them a set."""
+    frames, env = dup_seeds_env(spark, fig2_e, fig2_s)
+    cfg = FixConfig(**kwargs)
+    got = eval_spark(fix, env, spark, cfg).toPandas()
+    assert cfg.chosen == [chosen]
+    assert len(got) == len(set(pairs(got)))
+    assert pairs(got) == pairs(eval_pandas(fix, frames))
+
+
 def test_left_linear_plw_partitions_by_dst(spark, fig2_e, fig2_s):
     fix = Fix("X", Union_(Rel("S"), compose(Rel("E"), Var("X"))))
     env = {"S": spark.createDataFrame(fig2_s), "E": spark.createDataFrame(fig2_e)}
