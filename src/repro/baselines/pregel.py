@@ -15,21 +15,22 @@ DataFrames:
   (then only that node sends the initial message — why Q10/Q24 are the
   queries where GraphX does fine); trailing filters apply at the end.
 
-``max_rows`` caps the message/result volume; exceeding it raises
-:class:`CapacityError`, our analogue of the paper's GraphX crashes
-(e.g. on all concatenated-closure queries).
+The superstep loop is Algorithm 1 on the message relation, driven by
+:func:`repro.core.fcond.semi_naive`. ``max_rows`` caps the message
+volume; exceeding it raises :class:`CapacityError`, our analogue of the
+paper's GraphX crashes (e.g. on all concatenated-closure queries).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-# The one capacity error of every engine, importable from here too.
-from ..core.compiler_pandas import CapacityError
-from ..core.fcond import MAX_ITERATIONS
+from ..core.fcond import CapacityError  # noqa: F401 (re-exported for callers)
+from ..core.fcond import semi_naive
 from ..core.rpq import CRPQ, Alt, Atom, Label, Plus, Rx, Seq, is_var, parse_query, var_col
 
 
@@ -154,9 +155,10 @@ def eval_atom_pregel(
     have_fwd = fwd.limit(1).count() > 0
     have_bwd = bwd.limit(1).count() > 0
 
-    seen = msgs.localCheckpoint()
-    new = seen
-    for _ in range(MAX_ITERATIONS):
+    seen = new = msgs.localCheckpoint()
+
+    def superstep() -> int:
+        nonlocal seen, new
         parts = []
         if have_fwd:
             parts.append(
@@ -171,23 +173,19 @@ def eval_atom_pregel(
                 .select("origin", F.col("src").alias("node"), F.col("nxt").alias("state"))
             )
         if not parts:
-            break
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.union(p)
+            return 0
         new = (
-            out.dropDuplicates()
+            reduce(DataFrame.union, parts)
+            .dropDuplicates()
             .join(seen, on=["origin", "node", "state"], how="left_anti")
             .localCheckpoint()
         )
         n_new = new.count()
-        if n_new == 0:
-            break
-        seen = seen.union(new).localCheckpoint()
-        if max_rows is not None and seen.count() > max_rows:
-            raise CapacityError(f"pregel message volume exceeded {max_rows}")
-    else:
-        raise CapacityError("pregel did not converge")
+        if n_new:
+            seen = seen.union(new).localCheckpoint()
+        return n_new
+
+    semi_naive(superstep, seen.count(), max_rows)
 
     accept_states = [s for s, cl in closure.items() if nfa.accept in cl]
     result = seen.where(F.col("state").isin(accept_states)).select("origin", "node").distinct()

@@ -1,5 +1,5 @@
-"""Timing harness shared by jobs/ (full paper tables) and benchmarks/
-(pytest-benchmark subsets).
+"""Timing harness of the experiment suites that jobs/ runs (the paper's
+tables and figures).
 
 Measurements mirror the paper's reporting: wall-clock seconds per
 (system, query, dataset); a failure (CapacityError or any exception) is

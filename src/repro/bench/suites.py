@@ -1,9 +1,8 @@
 """Experiment suites — one function per paper table/figure.
 
 Each suite returns a list of :class:`repro.bench.harness.Measurement`
-and prints a progress row per run. jobs/*.py are thin spark-submit
-wrappers; benchmarks/*.py time representative subsets via
-pytest-benchmark. Scales: REPRO_SCALE=quick (CI smoke) vs bench
+and prints a progress row per run; jobs/*.py are thin spark-submit
+wrappers around them. Scales: REPRO_SCALE=quick (CI smoke) vs bench
 (EXPERIMENTS.md numbers); both are far below the paper's cluster scale,
 see DESIGN.md §4.
 """
@@ -12,14 +11,14 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from ..baselines.bigdatalog import eval_crpq_bigdatalog, plan_crpq_bigdatalog
+from ..baselines.bigdatalog import eval_crpq_bigdatalog
 from ..baselines.centralized import eval_term_centralized
 from ..baselines.myria import eval_crpq_myria, eval_term_myria
 from ..baselines.pregel import eval_crpq_pregel
 from ..core.compiler_spark import FixConfig, eval_spark
 from ..core.cost import GraphStats
 from ..core.paper_queries import UNIPROT_QUERIES, YAGO_QUERIES, uniprot_consts
-from ..core.planner import plan_crpq
+from ..core.planner import evaluate_ucrpq, plan_crpq
 from ..core.queries import anbn_term, reach_term, same_generation_term
 from ..core.query2mu import GRAPH, crpq_to_term
 from ..core.rewriter import rewrite
@@ -88,13 +87,6 @@ def warmup_spark(spark: SparkSession) -> None:
     df.localCheckpoint().count()
 
 
-def _dist(spark, gdf, stats, q, consts, cfg: FixConfig | None = None):
-    """plan_crpq + eval_spark; ``cfg`` (default: ``auto`` under
-    FIXPOINT_CAP) records the plan each fixpoint ran in ``cfg.chosen``."""
-    report = plan_crpq(q, stats, consts)
-    return eval_spark(report.term, {GRAPH: gdf}, spark, cfg or FixConfig(row_cap=FIXPOINT_CAP))
-
-
 def yago_bundle(spark: SparkSession, n_edges: int, seed: int = 0):
     tri, consts = yago_lite(n_edges, seed=seed)
     gdf = spark.createDataFrame(tri).cache()
@@ -126,12 +118,9 @@ def run_query_suite(
     for qid, qtext in queries.items():
         q = parse_query(qtext)
         for system in systems:
-            if system == "dist-mura":
-                fn = lambda: _dist(spark, gdf, stats, q, consts)
-            elif system == "dist-mura-gld":
-                fn = lambda: _dist(
-                    spark, gdf, stats, q, consts, FixConfig(strategy="gld", row_cap=FIXPOINT_CAP)
-                )
+            if system in ("dist-mura", "dist-mura-gld"):
+                cfg = FixConfig("gld" if system.endswith("gld") else "auto", row_cap=FIXPOINT_CAP)
+                fn = lambda: evaluate_ucrpq(spark, q, gdf, consts, stats, cfg)
             elif system == "bigdatalog":
                 fn = lambda: eval_crpq_bigdatalog(
                     spark, gdf, q, consts, cfg=FixConfig(row_cap=FIXPOINT_CAP)
@@ -180,7 +169,8 @@ def run_fig7(spark: SparkSession, n_edges: int | None = None) -> list[Measuremen
         for strategy, name in (("plw_s", "plw-setrdd"), ("plw_pg", "plw-duckdb")):
             cfg = FixConfig(strategy=strategy, row_cap=FIXPOINT_CAP)
             m = measure(
-                name, qid, f"yago_lite_{n_edges}", lambda: _dist(spark, gdf, stats, q, consts, cfg)
+                name, qid, f"yago_lite_{n_edges}",
+                lambda: evaluate_ucrpq(spark, q, gdf, consts, stats, cfg),
             )
             if m.seconds is not None:
                 m.note = ", ".join(cfg.chosen)

@@ -37,7 +37,8 @@ from typing import Callable, Mapping, Union
 import numpy as np
 import pandas as pd
 
-from .fcond import MAX_ITERATIONS, check_fcond, constant_variable_split, union_branches
+from .fcond import CapacityError  # noqa: F401 (re-exported for callers)
+from .fcond import check_fcond, constant_variable_split, semi_naive, union_branches
 from .terms import (
     AntiJoin,
     AntiProject,
@@ -63,10 +64,6 @@ Cols = dict[str, np.ndarray]
 Plan = Callable[[Cols], Cols]
 # Row keys: packed int64 values, or a MultiIndex.
 Keys = Union[np.ndarray, pd.MultiIndex]
-
-
-class CapacityError(RuntimeError):
-    """A fixpoint exceeded its row cap (≙ the paper's crash markers)."""
 
 
 def columns(df: pd.DataFrame) -> Cols:
@@ -368,22 +365,23 @@ def seminaive_loop(
 
     Exposed separately so the P_plw^s physical plan can run it inside a
     ``mapInPandas`` partition with broadcast constant relations. φ is
-    compiled once per call. Raises :class:`CapacityError` once
-    |X| > ``row_cap``. Each iteration calls the module-level
+    compiled once per call; :func:`repro.core.fcond.semi_naive` drives the
+    loop and its caps. Each iteration calls the module-level
     :func:`set_difference` once, looked up at call time, so wrapping it
     counts iterations.
     """
     branches = [_lift(_compile(b, var, env, row_cap)) for b in union_branches(phi)]
     x = RowSet(columns(seeds))
     new = x.parts[0]
-    for _ in range(MAX_ITERATIONS):
-        if not _len(new):
-            return frame(x.rows())
+
+    def step() -> int:
+        nonlocal new
         outs = [b(new) for b in branches]
         delta = {k: np.concatenate([o[k] for o in outs]) for k in x.cols}
         new = set_difference(delta, x)
         if _len(new):
             x.add(new)
-            if row_cap is not None and len(x) > row_cap:
-                raise CapacityError(f"fixpoint exceeded row_cap={row_cap}")
-    raise RuntimeError(f"fixpoint did not converge in {MAX_ITERATIONS} iterations")
+        return _len(new)
+
+    semi_naive(step, len(x), row_cap)
+    return frame(x.rows())

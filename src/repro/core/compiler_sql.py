@@ -24,8 +24,7 @@ from typing import Iterable, Mapping
 import duckdb
 import pandas as pd
 
-from .compiler_pandas import CapacityError
-from .fcond import check_fcond, constant_variable_split
+from .fcond import check_fcond, check_rows, constant_variable_split, row_limit
 from .terms import (
     AntiJoin,
     AntiProject,
@@ -203,7 +202,9 @@ class DuckdbEvaluator:
 
         ``WITH RECURSIVE … UNION`` feeds each step only its new rows and
         deduplicates against one hash table of X: DuckDB runs the loop.
-        The row cap is its LIMIT, which stops a runaway closure early.
+        The row cap is its LIMIT: one row over X's
+        :func:`~repro.core.fcond.row_limit` stops a runaway closure early
+        and raises :class:`~repro.core.fcond.CapacityError`.
         """
         bound = dict(bound or {})
         i = next(self._n)
@@ -213,26 +214,19 @@ class DuckdbEvaluator:
         self.env[xt] = self.env[f"__var__{var}"] = fix_schema
         phi = self._lift_fixpoints(phi, bound)
         phi_sql, params = to_sql(phi, self.env, {**bound, var: w})
-        limit = "" if self.row_cap is None else f" LIMIT {self.row_cap + 1}"
+        limit = row_limit(self.row_cap, self._rows(seeds_table))
         self.con.execute(
             f"CREATE OR REPLACE TEMP TABLE {xt} AS WITH RECURSIVE {w}({cols}) AS "
             f"(SELECT {cols} FROM {seeds_table} UNION SELECT {cols} FROM ({phi_sql})) "
-            f"SELECT {cols} FROM {w}{limit}",
+            f"SELECT {cols} FROM {w}" + ("" if limit is None else f" LIMIT {limit + 1}"),
             params,
         )
-        size = f"SELECT count(*) FROM {xt}"
-        if self.row_cap is None or self.con.execute(size).fetchone()[0] <= self.row_cap:
-            return xt
-        # Like the pandas kernel, raise only if φ added rows: not if the
-        # seeds alone are above the cap and φ adds nothing to them.
-        step, step_params = to_sql(phi, self.env, {**bound, var: seeds_table})
-        seeds_only = (
-            f"SELECT (SELECT count(*) FROM {seeds_table}) > {self.row_cap} AND NOT EXISTS "
-            f"(SELECT {cols} FROM ({step}) EXCEPT SELECT {cols} FROM {seeds_table})"
-        )
-        if self.con.execute(seeds_only, step_params).fetchone()[0]:
-            return seeds_table
-        raise CapacityError(f"fixpoint exceeded row_cap={self.row_cap}")
+        if limit is not None:
+            check_rows(self._rows(xt), limit)
+        return xt
+
+    def _rows(self, table: str) -> int:
+        return self.con.execute(f"SELECT count(*) FROM {table}").fetchone()[0]
 
 
 def eval_duckdb(

@@ -11,8 +11,13 @@ evaluation (Algorithm 1) and the P_plw fixpoint-splitting plan
 Proposition 2: every admissible fixpoint can be written μ(X = R ∪ φ)
 with R constant in X and φ(∅) = ∅. :func:`constant_variable_split`
 computes that decomposition by flattening the top-level union.
+
+:func:`semi_naive` is Algorithm 1's control, with the row cap and the
+iteration cap that every engine's loop shares.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 from .terms import (
     AntiJoin,
@@ -26,9 +31,43 @@ from .terms import (
 )
 
 
-# Loops driven from Python (pandas, P_gld, Pregel supersteps) give up after
-# this many iterations; DuckDB's recursive queries are bounded by the row cap.
+# semi_naive gives up after this many steps (read at call time); DuckDB's
+# recursive queries are bounded by the row cap alone.
 MAX_ITERATIONS = 100_000
+
+
+class CapacityError(RuntimeError):
+    """A fixpoint exceeded its row cap (≙ the paper's crash markers)."""
+
+
+def row_limit(row_cap: int | None, seeds: int) -> int | None:
+    """The most rows X may hold: max(``row_cap``, |seeds|), None without a
+    cap. A fixpoint fails only once φ has added rows to an X above the cap."""
+    return None if row_cap is None else max(row_cap, seeds)
+
+
+def check_rows(rows: int, limit: int | None) -> None:
+    """Raise :class:`CapacityError` if X's ``rows`` exceed its row_limit."""
+    if limit is not None and rows > limit:
+        raise CapacityError(f"fixpoint exceeded row_cap: more than {limit} rows")
+
+
+def semi_naive(step: Callable[[], int], seeds: int, row_cap: int | None) -> None:
+    """Algorithm 1's control: X = R; new = R; while new: new = φ(new) ∖ X; X ∪= new.
+
+    ``step`` runs one iteration (φ on the last new rows, minus X, added to
+    X) and returns |new|; ``seeds`` is |R|. Raises :class:`CapacityError`
+    once X holds more than row_limit rows, RuntimeError after
+    MAX_ITERATIONS steps.
+    """
+    rows, limit = seeds, row_limit(row_cap, seeds)
+    for _ in range(MAX_ITERATIONS):
+        new = step()
+        if not new:
+            return
+        rows += new
+        check_rows(rows, limit)
+    raise RuntimeError(f"fixpoint did not converge in {MAX_ITERATIONS} iterations")
 
 
 class FCondError(ValueError):

@@ -43,10 +43,10 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import StructField, StructType
 
-from .compiler_pandas import CapacityError, eval_pandas, seminaive_loop
+from .compiler_pandas import eval_pandas, seminaive_loop
 from .compiler_spark import FixConfig, columns, eval_spark
 from .compiler_sql import DuckdbEvaluator
-from .fcond import MAX_ITERATIONS, check_fcond, constant_variable_split
+from .fcond import check_fcond, constant_variable_split, semi_naive
 from .stabilizer import stable_columns
 from .terms import (
     AntiProject,
@@ -292,24 +292,21 @@ def _run_gld(
     φ's branches are one term, so one query evaluates them and their
     distinct union (eval_spark returns a set)."""
     cols = list(seeds.columns)
+    x = new = seeds.localCheckpoint()
 
-    x = seeds.localCheckpoint()
-    total = None
-    new = x
-    for _ in range(MAX_ITERATIONS):
+    def step() -> int:
+        nonlocal x, new
         delta = eval_spark(phi2, {**cenv, var: new}, spark, cfg)
         new = delta.join(x, on=cols, how="left_anti").localCheckpoint()
         n_new = new.count()
-        if n_new == 0:
-            return x
-        if cfg.row_cap is not None:
-            total = (total if total is not None else x.count()) + n_new
-            if total > cfg.row_cap:
-                raise CapacityError(f"P_gld fixpoint exceeded row_cap={cfg.row_cap}")
-        # new is distinct and disjoint from x, so the union stays a set
-        # without a further distinct.
-        x = x.unionByName(new).localCheckpoint()
-    raise RuntimeError(f"fixpoint did not converge in {MAX_ITERATIONS} iterations")
+        if n_new:
+            # new is distinct and disjoint from x, so the union stays a
+            # set without a further distinct.
+            x = x.unionByName(new).localCheckpoint()
+        return n_new
+
+    semi_naive(step, x.count(), cfg.row_cap)
+    return x
 
 
 # ---------------------------------------------------------------------------

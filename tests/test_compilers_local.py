@@ -19,6 +19,7 @@ from repro.core.compiler_pandas import (
     set_difference,
     set_union,
 )
+from repro.core.compiler_spark import FixConfig, eval_spark
 from repro.core.compiler_sql import DuckdbEvaluator, eval_duckdb, to_sql
 from repro.core.query2mu import label_term
 from repro.core.terms import (
@@ -255,10 +256,25 @@ CYCLE = pd.DataFrame({"src": np.arange(10_000), "dst": (np.arange(10_000) + 1) %
 CYCLE_ENV = {"R": CYCLE, "S": CYCLE.iloc[:500]}
 
 
-@pytest.mark.parametrize("evaluate", [eval_pandas, eval_duckdb], ids=["pandas", "duckdb"])
+@pytest.fixture
+def evaluate(request):
+    """A fixpoint engine called as ``evaluate(term, env, row_cap)``: a
+    local engine, or forced P_gld on Spark."""
+    if request.param != "gld":
+        return {"pandas": eval_pandas, "duckdb": eval_duckdb}[request.param]
+    spark = request.getfixturevalue("spark")
+
+    def eval_gld(term, env, row_cap=None):
+        sdfs = {k: spark.createDataFrame(v) for k, v in env.items()}
+        return eval_spark(term, sdfs, spark, FixConfig(strategy="gld", row_cap=row_cap)).toPandas()
+
+    return eval_gld
+
+
+@pytest.mark.parametrize("evaluate", ["pandas", "duckdb", "gld"], indirect=True)
 class TestRowCap:
-    """Both local engines raise CapacityError exactly when φ adds rows to
-    a fixpoint above the cap."""
+    """Every engine raises CapacityError exactly when φ adds rows to a
+    fixpoint above the cap (fcond.row_limit)."""
 
     def test_cap_equal_to_fixpoint(self, evaluate):
         assert len(evaluate(TC, {"R": CHAIN}, 10)) == 10
@@ -294,6 +310,19 @@ class TestRowCap:
         fix = Fix("X", Union_(Rel("S"), compose(Var("X"), Rel("R"))))
         with pytest.raises(CapacityError):
             evaluate(fix, CYCLE_ENV, 1_000)
+
+
+def test_duckdb_limit_counts_seeds_above_cap():
+    """500 seeds over a cap of 100: the query stops at |seeds| + 1 rows,
+    the first row φ adds, and raises."""
+    ev = DuckdbEvaluator(CYCLE_ENV, row_cap=100)
+    try:
+        with pytest.raises(CapacityError):
+            ev.run_seminaive(compose(Var("X"), Rel("R")), "X", "S")
+        (size,) = ev.con.execute("SELECT count(*) FROM __fix_x_0").fetchone()
+        assert size == 501
+    finally:
+        ev.con.close()
 
 
 def test_duckdb_cap_is_the_limit():

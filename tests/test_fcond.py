@@ -1,8 +1,14 @@
 """F_cond admissibility checks and the R ∪ φ decomposition (paper §II-B,
 Propositions 1–2)."""
+import pandas as pd
 import pytest
 
+from repro.baselines.pregel import eval_crpq_pregel
+from repro.core import fcond
+from repro.core.compiler_pandas import eval_pandas
+from repro.core.compiler_spark import FixConfig, eval_spark
 from repro.core.fcond import (
+    CapacityError,
     FCondError,
     check_fcond,
     constant_variable_split,
@@ -125,3 +131,25 @@ class TestSplit:
     def test_union_of_empty_raises(self):
         with pytest.raises(ValueError):
             union_of([])
+
+
+@pytest.mark.parametrize("engine", ["pandas", "gld", "pregel"])
+def test_iteration_cap_is_not_a_capacity_error(request, monkeypatch, engine):
+    """Every loop that semi_naive drives reads fcond.MAX_ITERATIONS at call
+    time and reports a fixpoint that needs more steps as RuntimeError."""
+    monkeypatch.setattr(fcond, "MAX_ITERATIONS", 2)
+    chain = pd.DataFrame({"src": range(10), "dst": range(1, 11)})  # 10 edges
+    tc = Fix("X", Union_(Rel("E"), compose(Var("X"), Rel("E"))))
+    if engine == "pandas":
+        run = lambda: eval_pandas(tc, {"E": chain})
+    else:
+        spark = request.getfixturevalue("spark")
+        if engine == "gld":
+            env = {"E": spark.createDataFrame(chain)}
+            run = lambda: eval_spark(tc, env, spark, FixConfig(strategy="gld"))
+        else:
+            graph = spark.createDataFrame(chain.assign(label="a"))
+            run = lambda: eval_crpq_pregel(spark, graph, "?x, ?y <- ?x a+ ?y")
+    with pytest.raises(RuntimeError, match="did not converge") as exc:
+        run()
+    assert not isinstance(exc.value, CapacityError)
