@@ -24,7 +24,6 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import time
 from pathlib import Path
 
@@ -32,7 +31,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-import repro
+from repro.bench.harness import commit
 from repro.core.compiler_pandas import eval_pandas, seminaive_loop
 from repro.core.compiler_sql import eval_duckdb
 from repro.core.cost import GraphStats
@@ -114,18 +113,6 @@ def bench_yago() -> dict:
             raise SystemExit(f"{qid}: pandas and DuckDB disagree on the row count")
         out[qid] = res
     return out
-
-
-def commit() -> str:
-    """The commit of the checkout the evaluated ``repro`` sources are in."""
-    here = Path(repro.__file__).resolve().parent
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=here, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def main() -> None:

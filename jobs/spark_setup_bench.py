@@ -17,11 +17,12 @@ their call sites, such as ``toPandas at plans.py:123``, and task counts.
 Under adaptive query execution each shuffle stage of an action is a job
 of its own, named after AQE's thread, not the step; so the last run also
 records the shuffle stages and exchanges of the action's final adaptive
-plan, which tell the stages apart. Each query runs
-once to warm up, then REPEATS times; the JSON records every time, the
-medians, the jobs of the last run, ``cfg.chosen``, the row count (the
-same in every run, and for both systems) and the environment (cores,
-Spark and Python versions, commit of the evaluated sources, and
+plan, which tell the stages apart. Each (scale, query, system) cell
+runs once to warm up, then once in each of REPEATS interleaved rounds
+over all cells; the JSON records every time, each phase's median and
+interquartile range, the jobs of the last run, ``cfg.chosen``, the row
+count (the same in every run, and for both systems) and the environment
+(cores, Spark and Python versions, commit of the evaluated sources, and
 ``noop_task_s``: the median time of a one-task ``mapInPandas`` that does
 nothing, the fixed cost of every P_plw and hand-off task).
 
@@ -41,8 +42,8 @@ from pathlib import Path
 
 import pyspark
 
-from kernel_bench import commit
 from repro.baselines.bigdatalog import plan_crpq_bigdatalog
+from repro.bench.harness import commit
 from repro.bench.session import get_spark
 from repro.core.compiler_spark import FixConfig, eval_spark
 from repro.core.cost import GraphStats
@@ -52,7 +53,7 @@ from repro.core.query2mu import GRAPH
 from repro.core.rpq import parse_query
 from repro.graphs.yago import yago_lite
 
-REPEATS = 3
+REPEATS = 5
 NOOP_RUNS = 10
 SCALES = (5_000, 30_000)
 QIDS = ("Q1", "Q21", "Q25")
@@ -126,41 +127,49 @@ def run_once(spark, g, stats, consts, qid: str, system: str) -> dict:
     }
 
 
-def bench_scale(spark, n_edges: int) -> dict:
-    tri, consts = yago_lite(n_edges, seed=0)
-    g = spark.createDataFrame(tri).cache()
-    g.count()
-    stats = GraphStats.from_spark(g)
-    out = {}
-    for qid in QIDS:
-        res = {}
-        for system in SYSTEMS:
-            run_once(spark, g, stats, consts, qid, system)  # warm-up
-            runs = [run_once(spark, g, stats, consts, qid, system) for _ in range(REPEATS)]
-            if len({r["rows"] for r in runs}) != 1:
-                raise SystemExit(f"{qid} {system}: row counts differ between runs")
-            last = runs[-1]
-            res[system] = {
-                "build_s_median": statistics.median(r["build_s"] for r in runs),
-                "action_s_median": statistics.median(r["action_s"] for r in runs),
-                "build_s": [r["build_s"] for r in runs],
-                "action_s": [r["action_s"] for r in runs],
-                "build_jobs": last["build_jobs"],
-                "action_jobs": last["action_jobs"],
-                "build_stages": last["build_stages"],
-                "action_stages": last["action_stages"],
-                "action_exchanges": last["action_exchanges"],
-                "chosen": last["chosen"],
-                "rows": last["rows"],
-            }
-            r = res[system]
-            print(f"  yago_lite_{n_edges} {qid} {system:<4} build {r['build_s_median']:7.3f}s "
-                  f"({r['build_jobs']} jobs)  action {r['action_s_median']:7.3f}s "
-                  f"({r['action_jobs']} jobs)  rows={r['rows']} {r['chosen']}", flush=True)
-        if res["dist"]["rows"] != res["bdl"]["rows"]:
-            raise SystemExit(f"{qid}: dist and bdl disagree on the row count")
-        out[qid] = res
-    g.unpersist()
+def summarize(runs: list[dict]) -> dict:
+    """One cell's record: every time, the median and interquartile range
+    of each phase, and what the last run saw."""
+    out: dict = {}
+    for phase in ("build", "action"):
+        times = [r[f"{phase}_s"] for r in runs]
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+        out |= {f"{phase}_s_median": median, f"{phase}_s_iqr": q3 - q1, f"{phase}_s": times}
+    keys = ("build_jobs", "action_jobs", "build_stages", "action_stages", "action_exchanges",
+            "chosen", "rows")
+    return out | {k: runs[-1][k] for k in keys}
+
+
+def bench(spark) -> dict:
+    """Every (scale, query, system) cell once to warm up, then REPEATS
+    interleaved rounds over all cells, so that a drift of the host's
+    speed spreads over every cell instead of landing on a few."""
+    graphs = {}
+    for n in SCALES:
+        tri, consts = yago_lite(n, seed=0)
+        g = spark.createDataFrame(tri).cache()
+        g.count()
+        graphs[n] = (g, GraphStats.from_spark(g), consts)
+    cells = list(itertools.product(SCALES, QIDS, SYSTEMS))
+    runs: dict[tuple, list[dict]] = {cell: [] for cell in cells}
+    for rnd in range(REPEATS + 1):
+        for n, qid, system in cells:
+            r = run_once(spark, *graphs[n], qid, system)
+            if rnd:  # round 0 warms up
+                runs[n, qid, system].append(r)
+    for n, qid in itertools.product(SCALES, QIDS):
+        if len({r["rows"] for system in SYSTEMS for r in runs[n, qid, system]}) != 1:
+            raise SystemExit(f"yago_lite_{n} {qid}: row counts differ between runs or systems")
+    out: dict[str, dict] = {}
+    for n, qid, system in cells:
+        r = summarize(runs[n, qid, system])
+        out.setdefault(f"yago_lite_{n}", {}).setdefault(qid, {})[system] = r
+        print(f"  yago_lite_{n} {qid} {system:<4} build {r['build_s_median']:7.3f}s "
+              f"±{r['build_s_iqr']:.3f} ({r['build_jobs']} jobs)  action "
+              f"{r['action_s_median']:7.3f}s ±{r['action_s_iqr']:.3f} ({r['action_jobs']} jobs)  "
+              f"rows={r['rows']} {r['chosen']}", flush=True)
+    for g, _, _ in graphs.values():
+        g.unpersist()
     return out
 
 
@@ -181,7 +190,7 @@ def main() -> None:
                 "repeats": REPEATS,
                 "noop_task_s": noop_task_s(spark),
             },
-            **{f"yago_lite_{n}": bench_scale(spark, n) for n in SCALES},
+            **bench(spark),
         }
     finally:
         spark.stop()

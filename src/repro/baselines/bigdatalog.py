@@ -16,89 +16,65 @@ BigDatalog is a distributed semi-naive Datalog engine on Spark. Its
   fixpoints run with the same communication-efficient physical plan as
   Dist-μ-RA's P_plw when a stable column exists.
 
-We reproduce exactly that: the LTR-only skeleton, a restricted
-MuRewriter with reversal and merging disabled, and the shared physical
-fixpoint machinery.
+We reproduce exactly that: the planner's ``ltr`` skeleton of each
+branch (:func:`repro.core.planner.skeleton`), the MuRewriter's rules
+less reversal and merging, and the shared physical fixpoint machinery.
 """
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from functools import partial
+from typing import Mapping
 
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core.compiler_spark import FixConfig, eval_spark
 from ..core.fcond import union_of
-from ..core.planner import _items, _ltr_skeleton
-from ..core.query2mu import DST, GRAPH, GRAPH_SCHEMA, SRC, _Fresh, _resolve, join_project_head
+from ..core.planner import skeleton
+from ..core.query2mu import (
+    DST,
+    GRAPH,
+    GRAPH_SCHEMA,
+    SRC,
+    _Fresh,
+    endpoint_values,
+    join_project_head,
+    name_endpoints,
+)
 from ..core.rewriter import (
-    LinearClosure,
-    match_compose,
-    match_linear_closure,
     rewrite,
-    seeded_closure,
     try_filter_descend,
     try_push_antiproject,
     try_push_filter,
+    try_push_join,
 )
-from ..core.rpq import CRPQ, distribute_alts, is_var, parse_query, var_col
-from ..core.terms import AntiProject, EqConst, Filter, Fix, Rename, Term, compose, fresh_mid
+from ..core.rpq import CRPQ, distribute_alts, parse_query, seq_items
+from ..core.terms import AntiProject, Term
 
-
-def _try_push_join_noreverse(t: Term) -> Optional[Term]:
-    """push-join restricted to matching orientations (no reversal)."""
-    c = match_compose(t)
-    if c is None:
-        return None
-    if isinstance(c.right, Fix):
-        lc = match_linear_closure(c.right)
-        if lc is not None and lc.orientation == "right":
-            seed = compose(c.left, lc.const, fresh_mid(c.left, lc.const, lc.step))
-            return seeded_closure(seed, lc.step, "right")
-    if isinstance(c.left, Fix):
-        lc = match_linear_closure(c.left)
-        if lc is not None and lc.orientation == "left":
-            seed = compose(lc.const, c.right, fresh_mid(c.right, lc.const, lc.step))
-            return seeded_closure(seed, lc.step, "left")
-    return None
-
-
-_PHASE1 = (try_push_filter, try_filter_descend, try_push_antiproject)
-_PHASE2 = (_try_push_join_noreverse,)
+# The MuRewriter's two phases less reversal (try_reverse_push_filter and
+# the reversing push-join) and merging (try_merge).
+_RULES = (
+    (try_push_filter, try_filter_descend, try_push_antiproject),
+    (partial(try_push_join, reverse=False),),
+)
 
 
 def plan_crpq_bigdatalog(q: CRPQ | str, consts: Mapping[str, int] | None = None) -> Term:
-    """Left-to-right Datalog-style logical plan (no reversal/merging)."""
+    """Left-to-right Datalog-style logical plan: each branch is the
+    planner's ``ltr`` skeleton, rewritten without reversal or merging."""
     if isinstance(q, str):
         q = parse_query(q)
     consts = consts or {}
     atom_terms = []
     for atom in q.atoms:
-        subj_v = None if is_var(atom.subj) else _resolve(atom.subj, consts)
-        obj_v = None if is_var(atom.obj) else _resolve(atom.obj, consts)
-        branches = []
-        for rx in distribute_alts(atom.rx):
-            skel = _ltr_skeleton(_items(rx), subj_v, _Fresh())
-            if obj_v is not None:
-                skel = Filter(EqConst(DST, obj_v), skel)
-            branches.append(
-                rewrite(skel, GRAPH_SCHEMA, phase1=_PHASE1, phase2=_PHASE2)
-            )
-        t = union_of(branches)
-        if subj_v is not None:
-            t = AntiProject((SRC,), t)
-        if obj_v is not None:
-            t = AntiProject((DST,), t)
-        if is_var(atom.subj) and atom.subj == atom.obj:
-            from ..core.terms import EqCol
-
-            t = Rename(SRC, var_col(atom.subj), AntiProject((DST,), Filter(EqCol(SRC, DST), t)))
-            atom_terms.append(t)
-            continue
-        if is_var(atom.subj):
-            t = Rename(SRC, var_col(atom.subj), t)
-        if is_var(atom.obj):
-            t = Rename(DST, var_col(atom.obj), t)
-        atom_terms.append(t)
+        subj_v, obj_v = endpoint_values(atom, consts)
+        t = union_of([
+            rewrite(skeleton(seq_items(rx), subj_v, obj_v, _Fresh()), GRAPH_SCHEMA, *_RULES)
+            for rx in distribute_alts(atom.rx)
+        ])
+        for col, v in ((SRC, subj_v), (DST, obj_v)):
+            if v is not None:
+                t = AntiProject((col,), t)
+        atom_terms.append(name_endpoints(t, atom))
     return join_project_head(atom_terms, q)
 
 

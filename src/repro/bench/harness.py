@@ -9,9 +9,11 @@ figure means that the query evaluation has failed".
 from __future__ import annotations
 
 import os
+import subprocess
 import time
 import traceback
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 
@@ -97,3 +99,14 @@ def bench_scale() -> str:
     """'bench' (default) or 'quick' via REPRO_SCALE — jobs use it to size
     graphs; 'quick' keeps every job under ~a minute for smoke runs."""
     return os.environ.get("REPRO_SCALE", "bench")
+
+
+def commit() -> str:
+    """The commit of the checkout the evaluated ``repro`` sources are in."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"

@@ -45,7 +45,7 @@ class FixConfig:
     # shuffle-free subterms) for the P_gld hand-off. Also capped by
     # ``row_cap``.
     broadcast_rows: int = 4_000_000
-    # Filled in by plans.execute_fixpoint for observability in tests/benches.
+    # One plan label per fixpoint, filled in by plans.py, for tests/benches.
     chosen: list[str] = field(default_factory=list)
     # Numbers the relations each fixpoint binds (see fresh()).
     _names: Iterator[int] = field(

@@ -17,8 +17,8 @@ distinct counts, so antiprojection/filter selectivities compose.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import pandas as pd
 
@@ -43,6 +43,9 @@ from .terms import (
 if TYPE_CHECKING:
     from pyspark.sql import DataFrame
 
+DEPTH = 10  # diameter bound D of the fixpoint model
+ITER_OVERHEAD = 2.0  # weight of a fixpoint's estimated rows in its cost
+
 
 @dataclass
 class Est:
@@ -66,10 +69,9 @@ class GraphStats:
 
     n_nodes: int
     labels: dict[str, Est]  # label → Est over columns {src, dst}
-    depth: int = 10  # diameter bound D for the fixpoint model
 
     @classmethod
-    def from_pandas(cls, triples: pd.DataFrame, depth: int = 10) -> "GraphStats":
+    def from_pandas(cls, triples: pd.DataFrame) -> "GraphStats":
         n_nodes = int(pd.concat([triples["src"], triples["dst"]]).nunique())
         labels = {}
         for lbl, g in triples.groupby("label"):
@@ -77,10 +79,10 @@ class GraphStats:
                 rows=float(len(g)),
                 d={"src": float(g["src"].nunique()), "dst": float(g["dst"].nunique())},
             )
-        return cls(n_nodes=n_nodes, labels=labels, depth=depth)
+        return cls(n_nodes=n_nodes, labels=labels)
 
     @classmethod
-    def from_spark(cls, triples: DataFrame, depth: int = 10) -> "GraphStats":
+    def from_spark(cls, triples: DataFrame) -> "GraphStats":
         """The statistics of :meth:`from_pandas`, from one Spark aggregate.
 
         Each triple is exploded into its two endpoints, so a label's row
@@ -109,7 +111,7 @@ class GraphStats:
                 labels[str(r["label"])] = Est(
                     rows=float(r["rows"]), d={"src": float(r["src"]), "dst": float(r["dst"])}
                 )
-        return cls(n_nodes=n_nodes, labels=labels, depth=depth)
+        return cls(n_nodes=n_nodes, labels=labels)
 
 
 @dataclass
@@ -123,8 +125,6 @@ class CostModel:
     """
 
     stats: GraphStats
-    extra: Mapping[str, Est] = field(default_factory=dict)  # named base rels
-    iter_overhead: float = 2.0
 
     def estimate(self, t: Term) -> Est:
         est, _ = self._rec(t, {})
@@ -144,7 +144,6 @@ class CostModel:
         return Est(0.0, {"src": 1.0, "dst": 1.0})
 
     def _rec(self, t: Term, bound: dict[str, Est]) -> tuple[Est, float]:
-        n2 = float(self.stats.n_nodes) ** 2
         # Special shape: σ_label=a(G) and its antiprojection — per-label stats.
         if isinstance(t, AntiProject) and isinstance(t.child, Filter):
             f = t.child
@@ -157,9 +156,6 @@ class CostModel:
                 e = self._label_est(str(f.cond.value))
                 return e, e.rows
         if isinstance(t, Rel):
-            if t.name in self.extra:
-                e = self.extra[t.name]
-                return Est(e.rows, dict(e.d)), 0.0
             # Whole triple table.
             rows = sum(e.rows for e in self.stats.labels.values()) or 1.0
             return (
@@ -240,7 +236,7 @@ class CostModel:
             else:
                 fan = step.rows / max(step.d.get("dst", 1.0), 1.0)
                 reach = step.d.get("src", n)
-            rows = min(seed.rows * _geom(fan, self.stats.depth), seed.rows * reach, n2)
+            rows = min(seed.rows * _geom(fan, DEPTH), seed.rows * reach, n2)
         else:
             # Merged / general fixpoint: sum the per-branch expansion.
             fan = 0.0
@@ -257,11 +253,11 @@ class CostModel:
                 se, sc = self._rec(const_side, bound)
                 step_cost += sc
                 fan += se.rows / max(min(se.d.get("src", 1.0), se.d.get("dst", 1.0)), 1.0) / 2.0
-            rows = min(seed.rows * _geom(fan, self.stats.depth), n2)
+            rows = min(seed.rows * _geom(fan, DEPTH), n2)
 
         d = {c: min(v * max(rows / max(seed.rows, 1.0), 1.0), n) for c, v in seed.d.items()}
         e = Est(rows, d).clamp()
-        return e, seed_cost + step_cost + e.rows * self.iter_overhead
+        return e, seed_cost + step_cost + e.rows * ITER_OVERHEAD
 
 
 def _geom(f: float, depth: int) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from .rpq import CRPQ, Alt, Label, Plus, Rx, Seq, is_var, parse_query
+from .rpq import CRPQ, Alt, Plus, Rx, Seq, is_var, parse_query, seq_items
 
 YAGO_QUERIES: dict[str, str] = {
     "Q1": "?x <- ?x isMarriedTo/livesIn/isLocatedIn+/dealsWith+ Argentina",
@@ -117,10 +117,6 @@ def _has_plus(rx: Rx) -> bool:
     return False
 
 
-def _seq_items(rx: Rx) -> list[Rx]:
-    return list(rx.parts) if isinstance(rx, Seq) else [rx]
-
-
 def query_classes(q: CRPQ | str) -> frozenset[str]:
     """C1–C6 membership per the paper's definitions:
 
@@ -132,7 +128,7 @@ def query_classes(q: CRPQ | str) -> frozenset[str]:
         q = parse_query(q)
     classes: set[str] = set()
     for atom in q.atoms:
-        items = _seq_items(atom.rx)
+        items = seq_items(atom.rx)
         plus_pos = [i for i, it in enumerate(items) if _has_plus(it)]
         if not plus_pos:
             continue

@@ -8,16 +8,18 @@ End-to-end pipeline (paper Fig. 3):
 
 Candidate generation works per atom branch (after alternation
 distribution). For a branch ``t1/t2/…/tk`` with optional endpoint
-constants, four skeletons are built, all using the constructive forms
-from :mod:`repro.core.rewriter`:
+constants, up to four skeletons are built by one builder,
+:func:`skeleton`, from the constructive forms of
+:mod:`repro.core.rewriter`:
 
 * **ltr** — left-to-right: closures are right-oriented; the subject
   filter is applied at construction start (so the MuRewriter pass can
   seed everything from the left); the object filter lands outside.
+  The BigDatalog baseline plans each branch as this skeleton alone.
 * **rtl** — the mirror image (fixpoint-reversal made constructive).
-* **merged-ltr / merged-rtl** — the first/last adjacent pure-closure
-  pair becomes one merged fixpoint (merge-fixpoints rule), remaining
-  items are seeded around it.
+* **merged-first / merged-last** — the first/last adjacent pure-closure
+  pair becomes one merged fixpoint (merge-fixpoints rule), and the ltr
+  chain is built around it.
 
 Each skeleton then goes through :func:`repro.core.rewriter.rewrite`
 (pushes filters/antiprojections into fixpoints, seeds closures) and the
@@ -27,9 +29,8 @@ MuRewriter + CostEstimator in miniature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from .compiler_spark import FixConfig, eval_spark
@@ -41,24 +42,14 @@ from .query2mu import (
     GRAPH_SCHEMA,
     SRC,
     _Fresh,
-    _resolve,
+    endpoint_values,
     join_project_head,
+    name_endpoints,
     rx_to_term,
 )
 from .rewriter import closure, merged_closure, rewrite, seeded_closure
-from .rpq import CRPQ, Atom, Plus, Rx, distribute_alts, is_var, parse_query, var_col
-from .terms import (
-    AntiProject,
-    EqCol,
-    EqConst,
-    Filter,
-    Rename,
-    Term,
-    Union_,
-    compose,
-    fresh_mid,
-    schema,
-)
+from .rpq import CRPQ, Atom, Plus, Rx, distribute_alts, is_var, parse_query, seq_items
+from .terms import AntiProject, EqConst, Filter, Term, compose, fresh_mid
 
 
 @dataclass
@@ -75,102 +66,36 @@ class PlanReport:
 # ---------------------------------------------------------------------------
 
 
-def _items(rx: Rx) -> list[Rx]:
-    from .rpq import Seq
-
-    return list(rx.parts) if isinstance(rx, Seq) else [rx]
-
-
-def _base(rx: Rx, fresh: _Fresh) -> Term:
-    return rx_to_term(rx, fresh)
-
-
-def _ltr_skeleton(items: list[Rx], subj_v: Optional[int], fresh: _Fresh) -> Term:
+def skeleton(
+    items: Sequence[Rx | Term],
+    subj_v: Optional[int],
+    obj_v: Optional[int],
+    fresh: _Fresh,
+    orientation: str = "right",
+) -> Term:
+    """Chain a branch's items into one term: left to right with
+    right-oriented closures (``orientation="right"``), or the mirror
+    image. Each closure after the first item is seeded by the chain built
+    so far. The constant at the end the chain starts from filters the
+    first item; the other one filters the whole chain. An item is a regex
+    or a term built already (a merged pair)."""
+    right = orientation == "right"
+    ends = [(SRC, subj_v), (DST, obj_v)]
+    (near, near_v), (far, far_v) = ends if right else ends[::-1]
     acc: Optional[Term] = None
-    for it in items:
-        if isinstance(it, Plus):
-            step = _base(it.child, fresh)
-            if acc is None:
-                acc = closure(step, "right")
-                if subj_v is not None:
-                    acc = Filter(EqConst(SRC, subj_v), acc)
-                    subj_v = None
-            else:
-                seed = compose(acc, step, fresh_mid(acc, step))
-                acc = seeded_closure(seed, step, "right")
+    for it in items if right else reversed(items):
+        plus = isinstance(it, Plus)
+        t = it if isinstance(it, Term) else rx_to_term(it.child if plus else it, fresh)
+        if acc is None:
+            acc = closure(t, orientation) if plus else t
+            if near_v is not None:
+                acc = Filter(EqConst(near, near_v), acc)
         else:
-            t = _base(it, fresh)
-            if acc is None:
-                acc = Filter(EqConst(SRC, subj_v), t) if subj_v is not None else t
-                subj_v = None
-            else:
-                acc = compose(acc, t, fresh_mid(acc, t))
+            mid = fresh_mid(acc, t)
+            joined = compose(acc, t, mid) if right else compose(t, acc, mid)
+            acc = seeded_closure(joined, t, orientation) if plus else joined
     assert acc is not None
-    return acc
-
-
-def _rtl_skeleton(items: list[Rx], obj_v: Optional[int], fresh: _Fresh) -> Term:
-    acc: Optional[Term] = None
-    for it in reversed(items):
-        if isinstance(it, Plus):
-            step = _base(it.child, fresh)
-            if acc is None:
-                acc = closure(step, "left")
-                if obj_v is not None:
-                    acc = Filter(EqConst(DST, obj_v), acc)
-                    obj_v = None
-            else:
-                seed = compose(step, acc, fresh_mid(acc, step))
-                acc = seeded_closure(seed, step, "left")
-        else:
-            t = _base(it, fresh)
-            if acc is None:
-                acc = Filter(EqConst(DST, obj_v), t) if obj_v is not None else t
-                obj_v = None
-            else:
-                acc = compose(t, acc, fresh_mid(acc, t))
-    assert acc is not None
-    return acc
-
-
-def _merged_skeletons(
-    items: list[Rx], subj_v: Optional[int], obj_v: Optional[int], fresh: _Fresh
-) -> list[tuple[str, Term]]:
-    """Merge an adjacent pure-closure pair, then chain the rest."""
-    out: list[tuple[str, Term]] = []
-    pairs = [
-        i
-        for i in range(len(items) - 1)
-        if isinstance(items[i], Plus) and isinstance(items[i + 1], Plus)
-    ]
-    if not pairs:
-        return out
-    for name, i in (("merged-first", pairs[0]), ("merged-last", pairs[-1])):
-        a = _base(items[i].child, fresh)
-        b = _base(items[i + 1].child, fresh)
-        merged = merged_closure(a, b)
-        # Chain items before i (LTR into the merged fix's left) and after
-        # i+1 (appended on the right).
-        acc: Term = merged
-        if i > 0:
-            left = _ltr_skeleton(items[:i], subj_v, fresh)
-            acc = compose(left, acc, fresh_mid(left, acc))
-        elif subj_v is not None:
-            acc = Filter(EqConst(SRC, subj_v), acc)
-        for it in items[i + 2 :]:
-            if isinstance(it, Plus):
-                step = _base(it.child, fresh)
-                seed = compose(acc, step, fresh_mid(acc, step))
-                acc = seeded_closure(seed, step, "right")
-            else:
-                t = _base(it, fresh)
-                acc = compose(acc, t, fresh_mid(acc, t))
-        if obj_v is not None:
-            acc = Filter(EqConst(DST, obj_v), acc)
-        out.append((name, acc))
-        if pairs[0] == pairs[-1]:
-            break
-    return out
+    return acc if far_v is None else Filter(EqConst(far, far_v), acc)
 
 
 def plan_branch(
@@ -178,38 +103,33 @@ def plan_branch(
     subj_v: Optional[int],
     obj_v: Optional[int],
     cm: CostModel,
-    drop_src: bool = False,
-    drop_dst: bool = False,
+    drops: tuple[str, ...],
 ) -> tuple[Term, float, list[tuple[str, float]]]:
     """Enumerate skeletons for one alternation-free branch, rewrite each
     with MuRewriter, cost them, return the cheapest.
 
-    ``drop_src``/``drop_dst``: the endpoint is not needed downstream
-    (constant endpoint, or a variable absent from the head and every
-    other atom) — the antiprojection is applied *before* costing so the
+    ``drops``: endpoint columns not needed downstream (constant
+    endpoint, or a variable absent from the head and every other atom)
+    — the antiprojection is applied *before* costing so the
     push-antiprojection rewrite influences plan choice (e.g. reach-style
     queries prefer the orientation whose fixpoint carries one column).
     """
-    env = GRAPH_SCHEMA
-    cands: list[tuple[str, Term]] = []
     fresh = _Fresh()
-    ltr = _ltr_skeleton(items, subj_v, fresh)
-    if obj_v is not None:
-        ltr = Filter(EqConst(DST, obj_v), ltr)
-    cands.append(("ltr", ltr))
-    rtl = _rtl_skeleton(items, obj_v, fresh)
-    if subj_v is not None:
-        rtl = Filter(EqConst(SRC, subj_v), rtl)
-    cands.append(("rtl", rtl))
-    cands.extend(_merged_skeletons(items, subj_v, obj_v, fresh))
+    cands = [
+        ("ltr", skeleton(items, subj_v, obj_v, fresh)),
+        ("rtl", skeleton(items, subj_v, obj_v, fresh, "left")),
+    ]
+    # Merge the first adjacent pure-closure pair, and the last if it differs.
+    plus = [isinstance(it, Plus) for it in items]
+    pairs = [i for i in range(len(items) - 1) if plus[i] and plus[i + 1]]
+    for name, i in zip(("merged-first", "merged-last"), pairs[:1] + pairs[1:][-1:]):
+        merged = merged_closure(*(rx_to_term(it.child, fresh) for it in items[i : i + 2]))
+        cands.append((name, skeleton([*items[:i], merged, *items[i + 2 :]], subj_v, obj_v, fresh)))
 
-    drops = tuple(c for c, d in ((SRC, drop_src), (DST, drop_dst)) if d)
     best: tuple[Term, float] | None = None
     scored: list[tuple[str, float]] = []
     for name, skel in cands:
-        if drops and drops != (SRC, DST):
-            skel = AntiProject(drops, skel)
-        t = rewrite(skel, env)
+        t = rewrite(AntiProject(drops, skel) if drops else skel, GRAPH_SCHEMA)
         c = cm.cost(t)
         scored.append((name, c))
         if best is None or c < best[1]:
@@ -230,33 +150,21 @@ def plan_atom(
     droppable: frozenset[str] = frozenset(),
 ) -> tuple[Term, float, list]:
     """Plan one atom. ``droppable`` lists this atom's endpoint variables
-    that no other atom and no head position needs."""
-    subj_v = None if is_var(atom.subj) else _resolve(atom.subj, consts)
-    obj_v = None if is_var(atom.obj) else _resolve(atom.obj, consts)
-    same_var = is_var(atom.subj) and atom.subj == atom.obj
-    drop_src = (subj_v is not None) or (atom.subj in droppable and not same_var)
-    drop_dst = (obj_v is not None) or (atom.obj in droppable and not same_var)
-    if drop_src and drop_dst:
-        drop_dst = False  # keep at least one column (0-ary relations unsupported)
-    branches = distribute_alts(atom.rx)
+    that no other atom and no head position needs (so never the variable
+    of ``?x r ?x``, which occurs twice)."""
+    subj_v, obj_v = endpoint_values(atom, consts)
+    ends = ((SRC, subj_v, atom.subj), (DST, obj_v, atom.obj))
+    # Keep at least one column (0-ary relations unsupported).
+    drops = tuple(col for col, v, end in ends if v is not None or end in droppable)[:1]
     terms: list[Term] = []
     total = 0.0
     scored_all: list[tuple[str, float]] = []
-    for rx in branches:
-        t, c, scored = plan_branch(_items(rx), subj_v, obj_v, cm, drop_src, drop_dst)
+    for rx in distribute_alts(atom.rx):
+        t, c, scored = plan_branch(seq_items(rx), subj_v, obj_v, cm, drops)
         terms.append(t)
         total += c
         scored_all.extend(scored)
-    t = union_of(terms)
-    # Endpoint finishing: name the surviving variable columns.
-    if same_var:
-        t = Rename(SRC, var_col(atom.subj), AntiProject((DST,), Filter(EqCol(SRC, DST), t)))
-        return t, total, scored_all
-    if is_var(atom.subj) and not drop_src:
-        t = Rename(SRC, var_col(atom.subj), t)
-    if is_var(atom.obj) and not drop_dst:
-        t = Rename(DST, var_col(atom.obj), t)
-    return t, total, scored_all
+    return name_endpoints(union_of(terms), atom, drops), total, scored_all
 
 
 def plan_crpq(

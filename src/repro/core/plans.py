@@ -154,9 +154,8 @@ def execute_fixpoint(
         # disjointness guarantee; the paper never does this — fall back.
         cfg.chosen.append("gld(no-stable-column)")
         return _run_gld(phi2, fix.var, seeds, cenv, spark, cfg)
-    cfg.chosen.append(strategy)
-
     if strategy == "gld":
+        cfg.chosen.append(strategy)
         return _run_gld(phi2, fix.var, seeds, cenv, spark, cfg)
     return _run_plw(phi2, fix.var, seeds, sorted(stable), cenv, spark, cfg, strategy)
 
@@ -180,10 +179,6 @@ def _bind_constants(
         cenv[name] = eval_spark(t, env, spark, cfg).localCheckpoint(eager=False)
     seeds = eval_spark(read_constants(const, consts), cenv, spark, cfg, distinct)
     return phi2, seeds, cenv
-
-
-def _broadcast_budget(cfg: FixConfig) -> int:
-    return cfg.broadcast_rows if cfg.row_cap is None else min(cfg.row_cap, cfg.broadcast_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +222,15 @@ def split_inputs(fix: Fix, prefix: str) -> tuple[Fix, dict[str, Term], Counter[s
     return local, {name: core for core, name in slices.items()}, Counter(inputs.values())
 
 
-def _total_rows(dfs: Mapping[str, DataFrame], copies: Counter[str]) -> int:
-    """Σ copies × rows over the slices, in one Spark job: one task reads
-    them all, so adding the counts up needs no shuffle."""
+def _over_budget(dfs: Mapping[str, DataFrame], copies: Counter[str], cfg: FixConfig) -> bool:
+    """Whether Σ copies × rows over the slices exceeds the broadcast
+    budget (``broadcast_rows``, and ``row_cap`` if lower). One Spark job
+    counts them: one task reads them all, so adding the counts up needs
+    no shuffle."""
     weighted = [dfs[name].select(F.lit(n).alias("w")) for name, n in copies.items()]
     rows = reduce(DataFrame.unionAll, weighted).coalesce(1).agg(F.sum("w")).collect()
-    return rows[0][0] or 0
+    budget = cfg.broadcast_rows if cfg.row_cap is None else min(cfg.row_cap, cfg.broadcast_rows)
+    return (rows[0][0] or 0) > budget
 
 
 def _hand_off(
@@ -254,7 +252,7 @@ def _hand_off(
         if any(isinstance(s, Fix) for s in walk(core)):
             df = df.localCheckpoint(eager=False)
         dfs[name] = df
-    if _total_rows(dfs, copies) > _broadcast_budget(cfg):
+    if _over_budget(dfs, copies, cfg):
         cfg.chosen.append("gld(broadcast-fallback)")
         phi2, seeds, cenv = _bind_constants(local, {**env, **dfs}, spark, cfg)
         return _run_gld(phi2, fix.var, seeds, cenv, spark, cfg)
@@ -335,9 +333,10 @@ def _run_plw(
     # (distributed shuffle joins) — the same family of decisions a join
     # planner makes between broadcast and shuffle joins. They are counted
     # in one job before anything is collected, so a fallback collects nothing.
-    if rels and _total_rows(rels, Counter(rels.keys())) > _broadcast_budget(cfg):
-        cfg.chosen[-1] = "gld(broadcast-fallback)"
+    if rels and _over_budget(rels, Counter(rels.keys()), cfg):
+        cfg.chosen.append("gld(broadcast-fallback)")
         return _run_gld(phi2, var, seeds.distinct(), cenv, spark, cfg)
+    cfg.chosen.append(engine)
 
     n = cfg.num_partitions or spark.sparkContext.defaultParallelism
     # Hash-repartition the constant part by the stable column(s):

@@ -18,7 +18,7 @@ atoms on shared variables and antiprojects to the head.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .rpq import CRPQ, Alt, Atom, Label, Plus, Rx, Seq, is_var, var_col
 from .terms import (
@@ -95,22 +95,33 @@ def atom_to_term(
 
 
 def bind_endpoints(t: Term, atom: Atom, consts: Mapping[str, int]) -> Term:
-    """Apply endpoint constants/variable renames to a binary term for
-    ``atom``. Shared by the naive translation and the planner (which
-    pushes the filters itself but reuses the renaming logic)."""
+    """Select and drop ``atom``'s constant endpoints of a binary term,
+    then name the rest with :func:`name_endpoints`. The naive
+    translation's endpoints; the planners push the selections into their
+    skeletons and share only :func:`name_endpoints`."""
+    for col, v in zip((SRC, DST), endpoint_values(atom, consts)):
+        if v is not None:
+            t = AntiProject((col,), Filter(EqConst(col, v), t))
+    return name_endpoints(t, atom)
+
+
+def name_endpoints(t: Term, atom: Atom, dropped: tuple[str, ...] = ()) -> Term:
+    """Rename the src/dst columns of ``atom``'s term to its variables'
+    columns (v_*). Constant endpoints and the columns in ``dropped`` are
+    not renamed; ``?x r ?x`` keeps the rows with src = dst, as v_x."""
     subj, obj = atom.subj, atom.obj
-    if not is_var(subj):
-        t = AntiProject((SRC,), Filter(EqConst(SRC, _resolve(subj, consts)), t))
-    if not is_var(obj):
-        t = AntiProject((DST,), Filter(EqConst(DST, _resolve(obj, consts)), t))
-    if is_var(subj) and is_var(obj) and subj == obj:
-        t = Rename(SRC, var_col(subj), AntiProject((DST,), Filter(EqCol(SRC, DST), t)))
-        return t
-    if is_var(subj):
-        t = Rename(SRC, var_col(subj), t)
-    if is_var(obj):
-        t = Rename(DST, var_col(obj), t)
+    if is_var(subj) and subj == obj:
+        return Rename(SRC, var_col(subj), AntiProject((DST,), Filter(EqCol(SRC, DST), t)))
+    for col, end in ((SRC, subj), (DST, obj)):
+        if is_var(end) and col not in dropped:
+            t = Rename(col, var_col(end), t)
     return t
+
+
+def endpoint_values(atom: Atom, consts: Mapping[str, int]) -> tuple[Optional[int], Optional[int]]:
+    """The constant at each end of ``atom``, None at a variable end."""
+    subj, obj = (None if is_var(e) else _resolve(e, consts) for e in (atom.subj, atom.obj))
+    return subj, obj
 
 
 def _resolve(c: str, consts: Mapping[str, int]) -> int:

@@ -15,7 +15,7 @@ Implemented rules, with the conditions under which each is sound:
 * :func:`try_push_join` — B ∘ μ(X = R ∪ X∘E) → μ(X = B∘R ∪ X∘E) and
   μ(X = R ∪ E∘X) ∘ B → μ(X = R∘B ∪ E∘X); sound by associativity of ∘
   (B∘(R∘E*) = (B∘R)∘E*). If the orientation does not match, a pure
-  closure is first reversed.
+  closure is first reversed (not with ``reverse=False``, as BigDatalog).
 * :func:`try_merge` — a⁺ ∘ b⁺ → μ(Z = a∘b ∪ a∘Z ∪ Z∘b): the merged
   fixpoint enumerates exactly the paths aⁱbʲ (i,j ≥ 1). This is the
   rule Datalog Magic Sets / Demand Transformation cannot express.
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
-from .fcond import constant_variable_split, union_branches, union_of
+from .fcond import constant_variable_split, union_branches
 from .stabilizer import stable_columns, used_columns
 from .terms import (
     AntiProject,
@@ -228,46 +228,27 @@ def try_reverse(t: Term) -> Optional[Term]:
     return closure(lc.step, flipped)
 
 
-def try_push_join(t: Term) -> Optional[Term]:
+def try_push_join(t: Term, reverse: bool = True) -> Optional[Term]:
     """Push a composition into an adjacent closure, seeding it.
 
     A ∘ μ(X = R ∪ X∘E) → μ(X = A∘R ∪ X∘E)  (sound for *any* A:
     A∘(R∘E*) = (A∘R)∘E* by associativity), and symmetrically
     μ(X = R ∪ E∘X) ∘ B → μ(X = R∘B ∪ E∘X). Pure closures are reversed
-    first when the orientation does not fit. try_merge runs before this
-    rule, so a⁺∘b⁺ merges rather than seeding with a full closure.
+    first when the orientation does not fit, unless ``reverse`` is false.
+    try_merge runs before this rule, so a⁺∘b⁺ merges rather than seeding
+    with a full closure.
     """
     c = match_compose(t)
     if c is None:
         return None
-    # A ∘ fix: seed a right-oriented closure from the left context.
-    if isinstance(c.right, Fix):
-        fix = c.right
-        lc = match_linear_closure(fix)
-        if lc is not None:
-            if lc.orientation == "left":
-                lc = (
-                    LinearClosure(lc.var, "right", lc.const, lc.step)
-                    if is_pure_closure(fix) is not None
-                    else None
-                )
-            if lc is not None:
-                seed = compose(c.left, lc.const, fresh_mid(c.left, lc.const, lc.step))
-                return seeded_closure(seed, lc.step, "right")
-    # fix ∘ B: seed a left-oriented closure from the right context.
-    if isinstance(c.left, Fix):
-        fix = c.left
-        lc = match_linear_closure(fix)
-        if lc is not None:
-            if lc.orientation == "right":
-                lc = (
-                    LinearClosure(lc.var, "left", lc.const, lc.step)
-                    if is_pure_closure(fix) is not None
-                    else None
-                )
-            if lc is not None:
-                seed = compose(lc.const, c.right, fresh_mid(c.right, lc.const, lc.step))
-                return seeded_closure(seed, lc.step, "left")
+    # A ∘ fix seeds a right-oriented closure, fix ∘ B a left-oriented one.
+    for fix, other, orientation in ((c.right, c.left, "right"), (c.left, c.right, "left")):
+        lc = match_linear_closure(fix) if isinstance(fix, Fix) else None
+        if lc is None or (lc.orientation != orientation and not (reverse and lc.const == lc.step)):
+            continue
+        pair = (other, lc.const) if orientation == "right" else (lc.const, other)
+        seed = compose(*pair, fresh_mid(other, lc.const, lc.step))
+        return seeded_closure(seed, lc.step, orientation)
     return None
 
 
@@ -338,7 +319,6 @@ def try_reverse_push_filter(t: Term, env: Schemas) -> Optional[Term]:
 def rewrite(
     t: Term,
     env: Schemas,
-    max_passes: int = 30,
     phase1: tuple[Callable, ...] | None = None,
     phase2: tuple[Callable, ...] | None = None,
 ) -> Term:
@@ -356,7 +336,7 @@ def rewrite(
     """
     p1 = _PHASE1 if phase1 is None else phase1
     p2 = _PHASE2 if phase2 is None else phase2
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         t1 = _apply_bottom_up(t, env, p1)
         t2 = _apply_bottom_up(t1, env, p2)
         if t2 == t:
@@ -365,6 +345,7 @@ def rewrite(
     return t
 
 
+_MAX_PASSES = 30
 _PHASE1: tuple[Callable, ...] = (
     try_push_filter,
     try_reverse_push_filter,

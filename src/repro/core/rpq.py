@@ -168,6 +168,11 @@ class _Tokens:
         return self.pos < len(self.toks) and self.toks[self.pos] == " "
 
 
+def seq_items(rx: Rx) -> list[Rx]:
+    """The items of a concatenation; any other regex is one item."""
+    return list(rx.parts) if isinstance(rx, Seq) else [rx]
+
+
 def _flatten_seq(parts: list[Rx]) -> Rx:
     return parts[0] if len(parts) == 1 else Seq(tuple(parts))
 

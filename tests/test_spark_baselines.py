@@ -10,8 +10,9 @@ from repro.core import compiler_pandas
 from repro.core.planner import plan_crpq
 from repro.core.cost import GraphStats
 from repro.core.reference import eval_crpq
-from repro.core.rewriter import is_pure_closure
-from repro.core.rpq import Label, Plus, Seq, parse_query, parse_rx
+from repro.core.paper_queries import ALL_QUERIES
+from repro.core.rewriter import is_pure_closure, match_linear_closure
+from repro.core.rpq import Label, Plus, Seq, is_var, parse_query, parse_rx
 from repro.core.terms import Fix, walk
 
 QUERIES = [
@@ -88,6 +89,20 @@ class TestBigdatalogCapabilityGap:
         rep = plan_crpq("?x, ?y <- ?x a+/b+ ?y", GraphStats.from_pandas(small_triples))
         fixes = [s for s in walk(rep.term) if isinstance(s, Fix)]
         assert len(fixes) == 1
+
+    @pytest.mark.parametrize("qid", list(ALL_QUERIES))
+    def test_paper_queries_stay_left_to_right(self, qid):
+        # Every fixpoint is a closure with one recursive branch, growing on
+        # the right: nothing merged, nothing reversed. The plan does not
+        # read the graph, so any ints stand in for the named constants.
+        q = parse_query(ALL_QUERIES[qid])
+        ends = (e for a in q.atoms for e in (a.subj, a.obj) if not is_var(e))
+        consts = {e: i for i, e in enumerate(ends)}
+        fixes = [s for s in walk(plan_crpq_bigdatalog(q, consts)) if isinstance(s, Fix)]
+        assert fixes
+        for fix in fixes:
+            lc = match_linear_closure(fix)
+            assert lc is not None and lc.orientation == "right", fix
 
 
 class TestNFA:
