@@ -42,15 +42,13 @@ os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
     f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
     "pyspark-shell",
 )
 
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
-from repro.bench.worker_daemon import DAEMON_MODULE  # noqa: E402
+from repro.bench.session import get_spark  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -58,25 +56,12 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
-    Python workers start from ``repro.bench.worker_daemon``, as in
-    ``repro.bench.session.get_spark``.
+    pre-JVM-launch). Everything else is ``repro.bench.session.get_spark``'s
+    configuration, the one the jobs and the benchmark run under (broadcast
+    joins off, Arrow on, the worker daemon, Unix domain sockets), with 64
+    shuffle partitions.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.python.daemon.module", DAEMON_MODULE)
-        .getOrCreate()
-    )
+    s = get_spark("tests", shuffle_partitions=64)
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -2,13 +2,13 @@
 growing dataset size (Myria capacity-fails on the larger random graph,
 as in the paper)."""
 from repro.bench.harness import format_table
-from repro.bench.session import get_spark
+from repro.bench.session import spark_session
 from repro.bench.suites import run_fig12
 
 
 def main() -> None:
-    spark = get_spark("fig12")
-    ms = run_fig12(spark)
+    with spark_session("fig12") as spark:
+        ms = run_fig12(spark)
     print(format_table("Fig. 12 — same generation, Myria vs Dist-μ-RA", ms))
 
 

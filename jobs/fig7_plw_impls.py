@@ -2,13 +2,13 @@
 P_plw^pg (per-partition DuckDB, the PostgreSQL substitute) on Yago
 queries."""
 from repro.bench.harness import format_table
-from repro.bench.session import get_spark
+from repro.bench.session import spark_session
 from repro.bench.suites import run_fig7
 
 
 def main() -> None:
-    spark = get_spark("fig7")
-    ms = run_fig7(spark)
+    with spark_session("fig7") as spark:
+        ms = run_fig7(spark)
     print(format_table("Fig. 7 — P_plw implementations on yago_lite", ms))
 
 

@@ -2,13 +2,13 @@
 graphs of growing size (1:100 scale: 10k/50k/100k edges), representative
 query subset (see EXPERIMENTS.md)."""
 from repro.bench.harness import format_table
-from repro.bench.session import get_spark
+from repro.bench.session import spark_session
 from repro.bench.suites import run_fig8
 
 
 def main() -> None:
-    spark = get_spark("fig8")
-    ms = run_fig8(spark)
+    with spark_session("fig8") as spark:
+        ms = run_fig8(spark)
     print(format_table("Fig. 8 — uniprot scaling", ms))
 
 

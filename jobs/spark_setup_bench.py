@@ -44,7 +44,7 @@ import pyspark
 
 from repro.baselines.bigdatalog import plan_crpq_bigdatalog
 from repro.bench.harness import commit
-from repro.bench.session import get_spark
+from repro.bench.session import spark_session
 from repro.core.compiler_spark import FixConfig, eval_spark
 from repro.core.cost import GraphStats
 from repro.core.paper_queries import YAGO_QUERIES
@@ -177,8 +177,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", default="BENCH_spark_setup.json")
     args = ap.parse_args()
-    spark = get_spark("spark-setup-bench")
-    try:
+    with spark_session("spark-setup-bench") as spark:
         result = {
             "env": {
                 "cores": os.cpu_count(),
@@ -192,8 +191,6 @@ def main() -> None:
             },
             **bench(spark),
         }
-    finally:
-        spark.stop()
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")
 

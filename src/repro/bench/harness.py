@@ -11,8 +11,7 @@ from __future__ import annotations
 import os
 import subprocess
 import time
-import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 

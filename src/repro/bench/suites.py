@@ -20,7 +20,6 @@ from ..core.cost import GraphStats
 from ..core.paper_queries import UNIPROT_QUERIES, YAGO_QUERIES, uniprot_consts
 from ..core.planner import evaluate_ucrpq, plan_crpq
 from ..core.queries import anbn_term, reach_term, same_generation_term
-from ..core.query2mu import GRAPH, crpq_to_term
 from ..core.rewriter import rewrite
 from ..core.rpq import parse_query
 from ..graphs.generators import add_labels, erdos_renyi, random_tree, snap_lite

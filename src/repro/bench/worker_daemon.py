@@ -16,10 +16,10 @@ forks inherit the cleaned path. On any other installation it leaves the
 path as Spark built it.
 
 Spark runs it as ``python -m repro.bench.worker_daemon`` when a session
-sets ``spark.python.daemon.module`` to :data:`DAEMON_MODULE`, which
-``repro.bench.session.get_spark`` and the test fixture do. The workers
-must be able to import ``repro``, as they must for the program's
-``mapInPandas`` tasks anyway.
+sets ``spark.python.daemon.module`` to :data:`DAEMON_MODULE`, as
+``repro.bench.session.get_spark`` does for every session of the repo.
+The workers must be able to import ``repro``, as they must for the
+program's ``mapInPandas`` tasks anyway.
 
 Only the standard library is imported before the path is cleaned.
 """

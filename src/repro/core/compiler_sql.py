@@ -28,7 +28,6 @@ from .fcond import check_fcond, check_rows, constant_variable_split, row_limit
 from .terms import (
     AntiJoin,
     AntiProject,
-    EqCol,
     EqConst,
     Filter,
     Fix,

@@ -1,7 +1,7 @@
 """The worker daemon that starts PySpark's workers without Spark's archives.
 
-The Spark test runs a Python task under the session fixture and checks
-what its worker imported; the path-filter tests run on made-up
+The Spark tests run a Python task under the session fixture and check
+what its worker imported and which transport it uses; the path-filter tests run on made-up
 installations under ``tmp_path``.
 """
 from __future__ import annotations
@@ -42,6 +42,17 @@ def test_worker_imports_installed_pyspark(spark):
     assert facts["under_home"] == []
     assert os.path.isfile(facts["pyspark_file"])  # not a member of an archive
     assert facts["version"] == pyspark.__version__
+
+
+def test_worker_talks_over_unix_socket(spark):
+    def transport(_):
+        import os
+
+        yield os.environ.get("PYTHON_UNIX_DOMAIN_ENABLED", "")
+
+    # Spark sets "True"; pyspark.daemon compares the value lowercased.
+    (flag,) = spark.sparkContext.parallelize([0], 1).mapPartitions(transport).collect()
+    assert flag.lower() == "true"
 
 
 def _zip(path, files: dict[str, str]) -> str:
