@@ -4,34 +4,38 @@ The paper compares against GraphX by compiling each UCRPQ into a Pregel
 program: every candidate start node sends a message carrying its
 identity; messages traverse the regular expression left-to-right (an
 NFA state machine); a superstep = one round of message exchange
-(shuffle) + dedup. We reproduce exactly that execution model on Spark
-DataFrames:
+(shuffle) + dedup. We reproduce that execution model as one μ-RA
+fixpoint over the message relation, run by the P_gld plan of
+:mod:`repro.core.plans`:
 
 * message relation M(origin, node, state) — "each node has to keep
   track of its ancestors that satisfy a given regular path query",
   which is the blow-up the paper blames for GraphX's poor times;
-* one shuffle per superstep (join messages × edges + distinct);
+* a superstep is one P_gld iteration: the new messages joined with the
+  edges and the NFA transitions, deduplicated (one shuffle) and
+  subtracted from the messages seen so far;
 * selections are pushed **only when the query starts with a constant**
   (then only that node sends the initial message — why Q10/Q24 are the
   queries where GraphX does fine); trailing filters apply at the end.
 
-The superstep loop is Algorithm 1 on the message relation, driven by
-:func:`repro.core.fcond.semi_naive`. ``max_rows`` caps the message
-volume; exceeding it raises :class:`CapacityError`, our analogue of the
-paper's GraphX crashes (e.g. on all concatenated-closure queries).
+``max_rows`` is the fixpoint's row cap: it caps the message volume, and
+exceeding it raises :class:`CapacityError`, our analogue of the paper's
+GraphX crashes (e.g. on all concatenated-closure queries).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from ..core.compiler_spark import FixConfig, eval_spark
 from ..core.fcond import CapacityError  # noqa: F401 (re-exported for callers)
-from ..core.fcond import semi_naive
+from ..core.fcond import union_of
+from ..core.query2mu import GRAPH
 from ..core.rpq import CRPQ, Alt, Atom, Label, Plus, Rx, Seq, is_var, parse_query, var_col
+from ..core.terms import AntiProject, Fix, Join, Rel, Rename, Term, Union_, Var
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +116,26 @@ def build_nfa(rx: Rx) -> NFA:
 # BSP evaluation
 # ---------------------------------------------------------------------------
 
+# The message relation, its initial messages, and the (state, label, nxt)
+# transitions taken along an edge (FWD) and against it (BWD), each with
+# the edge end a message sits at and the end it moves to.
+M, M0, FWD, BWD = "M", "M0", "F", "B"
+ENDS = {FWD: ("src", "dst"), BWD: ("dst", "src")}
+
+
+def superstep(direction: str) -> Term:
+    """One direction of a superstep: every message at one end of an edge
+    whose label a transition of ``direction`` reads in the message's state
+    moves to the edge's other end, in the transition's next state.
+
+    The joins are left-deep, so G and the transitions stay bare relations:
+    P_gld joins the messages with each, as GraphX does, and precomputes
+    nothing.
+    """
+    here, there = ENDS[direction]
+    moved = Join(Join(Rename("node", here, Var(M)), Rel(GRAPH)), Rel(direction))
+    return Rename("nxt", "state", Rename(there, "node", AntiProject((here, "state", "label"), moved)))
+
 
 def eval_atom_pregel(
     spark: SparkSession,
@@ -124,19 +148,14 @@ def eval_atom_pregel(
     nfa = build_nfa(atom.rx)
     closure = nfa.eps_closure()
 
-    # Transition relation as a DataFrame: (state, label, inv, nxt*) where
-    # nxt is expanded through the epsilon closure.
-    rows = []
-    for s, lbl, inv, t in nfa.trans:
-        for t2 in closure[t]:
-            rows.append((s, lbl, inv, t2))
-    trans = spark.createDataFrame(rows, "state long, label string, inv boolean, nxt long")
-
     # Initial messages: the query pattern is traversed from left to
     # right, so only a leading constant is pushed (paper §V-C).
     if not is_var(atom.subj):
         v = int(atom.subj) if atom.subj.isdigit() else consts[atom.subj]
-        origins = spark.range(v, v + 1).withColumnRenamed("id", "node")
+        # Not spark.range: once P_gld checkpoints a range whose id is
+        # aliased (origin = node), its first union of new rows fails in
+        # Spark 4.1 (NoSuchElementException: key not found).
+        origins = spark.createDataFrame([(v,)], "node long")
     else:
         origins = (
             graph.select(F.col("src").alias("node"))
@@ -150,42 +169,19 @@ def eval_atom_pregel(
         .select("origin", "node", "state")
     )
 
-    fwd = trans.where(~F.col("inv")).select("state", "label", "nxt")
-    bwd = trans.where(F.col("inv")).select("state", "label", "nxt")
-    have_fwd = fwd.limit(1).count() > 0
-    have_bwd = bwd.limit(1).count() > 0
+    # Transitions per direction, nxt expanded through the epsilon closure.
+    trans: dict[str, list[tuple[int, str, int]]] = {FWD: [], BWD: []}
+    for s, lbl, inv, t in nfa.trans:
+        trans[BWD if inv else FWD] += [(s, lbl, t2) for t2 in closure[t]]
+    env = {M0: msgs, GRAPH: graph}
+    for name, rows in trans.items():
+        if rows:
+            env[name] = spark.createDataFrame(rows, "state long, label string, nxt long")
+    phi = union_of([superstep(name) for name in trans if name in env])
 
-    seen = new = msgs.localCheckpoint()
-
-    def superstep() -> int:
-        nonlocal seen, new
-        parts = []
-        if have_fwd:
-            parts.append(
-                new.join(graph, on=new["node"] == graph["src"])
-                .join(fwd, on=["state", "label"])
-                .select("origin", F.col("dst").alias("node"), F.col("nxt").alias("state"))
-            )
-        if have_bwd:
-            parts.append(
-                new.join(graph, on=new["node"] == graph["dst"])
-                .join(bwd, on=["state", "label"])
-                .select("origin", F.col("src").alias("node"), F.col("nxt").alias("state"))
-            )
-        if not parts:
-            return 0
-        new = (
-            reduce(DataFrame.union, parts)
-            .dropDuplicates()
-            .join(seen, on=["origin", "node", "state"], how="left_anti")
-            .localCheckpoint()
-        )
-        n_new = new.count()
-        if n_new:
-            seen = seen.union(new).localCheckpoint()
-        return n_new
-
-    semi_naive(superstep, seen.count(), max_rows)
+    # Forced P_gld: one shuffle and one dedup per superstep, and max_rows
+    # caps the message volume (fcond.semi_naive's row rule).
+    seen = eval_spark(Fix(M, Union_(Rel(M0), phi)), env, spark, FixConfig("gld", row_cap=max_rows))
 
     accept_states = [s for s, cl in closure.items() if nfa.accept in cl]
     result = seen.where(F.col("state").isin(accept_states)).select("origin", "node").distinct()

@@ -12,13 +12,14 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from ..baselines.bigdatalog import eval_crpq_bigdatalog
-from ..baselines.centralized import eval_term_centralized
-from ..baselines.myria import eval_crpq_myria, eval_term_myria
 from ..baselines.pregel import eval_crpq_pregel
+from ..core.compiler_pandas import eval_pandas
 from ..core.compiler_spark import FixConfig, eval_spark
+from ..core.compiler_sql import eval_duckdb
 from ..core.cost import GraphStats
 from ..core.paper_queries import UNIPROT_QUERIES, YAGO_QUERIES, uniprot_consts
 from ..core.planner import evaluate_ucrpq, plan_crpq
+from ..core.query2mu import GRAPH, crpq_to_term
 from ..core.queries import anbn_term, reach_term, same_generation_term
 from ..core.rewriter import rewrite
 from ..core.rpq import parse_query
@@ -33,6 +34,10 @@ PREGEL_CAP = 3_000_000
 # Per-fixpoint capacity for every engine — runaway closures become
 # "fail" data points, the way the paper reports crashes/timeouts.
 FIXPOINT_CAP = 5_000_000
+# Myria's row cap in Fig. 11; it models Myria's crashes on large closures
+# (it "even crashes for rnd_10k_0.001" on same-generation). Figs. 12–14
+# use 2M (see run_query_suite).
+MYRIA_CAP = 30_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +131,23 @@ def run_query_suite(
                 )
             elif system == "graphx":
                 fn = lambda: eval_crpq_pregel(spark, gdf, q, consts, max_rows=PREGEL_CAP)
+            # Centralized μ-RA (§V-C, [11] on PostgreSQL) runs the planner's
+            # term on DuckDB (DESIGN.md §4); its row cap models the paper's
+            # timeouts on exploding closures. Myria (§VI) recurses semi-
+            # naively on one machine without optimizing fixpoints (no pushed
+            # joins, merging or reversal): pandas on the naive Query2Mu term.
             elif system == "centralized":
-                fn = lambda: _centralized(tri, stats, q, consts)
+                fn = lambda: eval_duckdb(
+                    plan_crpq(q, stats, consts).term, {GRAPH: tri}, FIXPOINT_CAP
+                )
             elif system == "myria":
                 # 2M-row cap ≙ the paper's Myria failures on closures
                 # beyond ~500k records (§V-E4), at our 1:20 scale.
-                fn = lambda: eval_crpq_myria(tri, q, consts, row_cap=2_000_000)
+                fn = lambda: eval_pandas(crpq_to_term(q, consts), {GRAPH: tri}, 2_000_000)
             else:  # pragma: no cover
                 raise ValueError(system)
             out.append(measure(system, qid, dataset_name, fn))
     return out
-
-
-def _centralized(tri, stats, q, consts):
-    report = plan_crpq(q, stats, consts)
-    return eval_term_centralized(report.term, tri, row_cap=FIXPOINT_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +259,8 @@ def run_fig11(spark: SparkSession, quick: bool | None = None) -> list[Measuremen
         fn = {
             "dist-mura": lambda: _term_on_spark(spark, t_ab, {"G": ab}),
             "bigdatalog": lambda: _term_on_spark(spark, t_ab, {"G": ab}),
-            "myria": lambda: eval_term_myria(t_ab, ab),
-            "centralized": lambda: eval_term_centralized(t_ab, ab),
+            "myria": lambda: eval_pandas(t_ab, {"G": ab}, MYRIA_CAP),
+            "centralized": lambda: eval_duckdb(t_ab, {"G": ab}),
         }[system]
         out.append(measure(system, "anbn", f"rnd_{len(ab)}e_ab", fn))
 
@@ -265,8 +272,8 @@ def run_fig11(spark: SparkSession, quick: bool | None = None) -> list[Measuremen
             fn = {
                 "dist-mura": lambda: _term_on_spark(spark, t_sg, {"G": rel}),
                 "bigdatalog": lambda: _term_on_spark(spark, t_sg, {"G": rel}),
-                "myria": lambda: eval_term_myria(t_sg, rel),
-                "centralized": lambda: eval_term_centralized(t_sg, rel),
+                "myria": lambda: eval_pandas(t_sg, {"G": rel}, MYRIA_CAP),
+                "centralized": lambda: eval_duckdb(t_sg, {"G": rel}),
             }[system]
             out.append(measure(system, "same-gen", name, fn))
 
@@ -281,8 +288,8 @@ def run_fig11(spark: SparkSession, quick: bool | None = None) -> list[Measuremen
             fn = {
                 "dist-mura": lambda: _term_on_spark(spark, term, {"G": edges}),
                 "bigdatalog": lambda: _term_on_spark(spark, naive, {"G": edges}),
-                "myria": lambda: eval_term_myria(naive, edges),
-                "centralized": lambda: eval_term_centralized(term, edges),
+                "myria": lambda: eval_pandas(naive, {"G": edges}, MYRIA_CAP),
+                "centralized": lambda: eval_duckdb(term, {"G": edges}),
             }[system]
             out.append(measure(system, "reach", name, fn))
     return out
@@ -333,7 +340,7 @@ def run_fig12(spark: SparkSession) -> list[Measurement]:
         out.append(
             measure(
                 "myria", "same-gen", name,
-                lambda: eval_term_myria(t_sg, rel, row_cap=2_000_000),
+                lambda: eval_pandas(t_sg, {"G": rel}, 2_000_000),
             )
         )
     return out

@@ -83,8 +83,10 @@ def to_sql(
             cols = ", ".join(sorted(env[f"__var__{t.name}"]))
             return f"SELECT {cols} FROM {bound[t.name]}"
         if isinstance(t, Union_):
+            # Branches keep duplicates: UNION removes them once, or in bag
+            # mode the caller does.
             op = "UNION ALL" if bag else "UNION"
-            return f"({rec(t.left, bag)}) {op} ({rec(t.right, bag)})"
+            return f"({rec(t.left, True)}) {op} ({rec(t.right, True)})"
         if isinstance(t, Join):
             ls, rs = sch(t.left), sch(t.right)
             shared = sorted(ls & rs)
@@ -197,7 +199,7 @@ class DuckdbEvaluator:
         self, phi: Term, var: str, seeds_table: str, bound: dict[str, str] | None = None
     ) -> str:
         """Algorithm 1 from the constant part R in ``seeds_table``; returns
-        the table holding the fixpoint. Public: P_plw^pg calls it.
+        the table holding the fixpoint.
 
         ``WITH RECURSIVE … UNION`` feeds each step only its new rows and
         deduplicates against one hash table of X: DuckDB runs the loop.

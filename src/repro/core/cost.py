@@ -126,10 +126,6 @@ class CostModel:
 
     stats: GraphStats
 
-    def estimate(self, t: Term) -> Est:
-        est, _ = self._rec(t, {})
-        return est
-
     def cost(self, t: Term) -> float:
         _, c = self._rec(t, {})
         return c

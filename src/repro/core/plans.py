@@ -45,7 +45,7 @@ from pyspark.sql.types import StructField, StructType
 
 from .compiler_pandas import eval_pandas, seminaive_loop
 from .compiler_spark import FixConfig, columns, eval_spark
-from .compiler_sql import DuckdbEvaluator
+from .compiler_sql import eval_duckdb
 from .fcond import check_fcond, constant_variable_split, semi_naive
 from .stabilizer import stable_columns
 from .terms import (
@@ -55,6 +55,7 @@ from .terms import (
     Rel,
     Rename,
     Term,
+    Union_,
     is_constant_in,
     map_children,
     pinned,
@@ -356,12 +357,8 @@ def _run_plw(
         if engine == "plw_s":
             result = seminaive_loop(phi2, var, local_seeds, bc.value, row_cap)
         else:
-            ev = DuckdbEvaluator({**bc.value, "__seeds": local_seeds}, row_cap=row_cap)
-            try:
-                xt = ev.run_seminaive(phi2, var, "__seeds")
-                result = ev.con.execute(f"SELECT * FROM {xt}").fetchdf()
-            finally:
-                ev.con.close()
+            fix = Fix(var, Union_(Rel("__seeds"), phi2))
+            result = eval_duckdb(fix, {**bc.value, "__seeds": local_seeds}, row_cap)
         yield result[out_cols]
 
     return seeds.mapInPandas(run_partition, schema=seeds.schema)

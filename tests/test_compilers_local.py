@@ -226,6 +226,15 @@ class TestSqlCompiler:
         with pytest.raises(SchemaError):
             to_sql(Fix("X", Union_(Rel("R"), compose(Var("X"), Rel("R")))), {"R": SD})
 
+    def test_to_sql_union_deduplicates_once(self, r, s):
+        # Each branch's π̃ keeps its duplicates; the one UNION removes them.
+        t = Union_(compose(Rel("R"), Rel("S")), compose(Rel("S"), Rel("R")))
+        sql, _ = to_sql(t, {"R": SD, "S": SD})
+        assert "DISTINCT" not in sql
+        assert sql.count("UNION") == 1 and "UNION ALL" not in sql
+        got = eval_duckdb(t, {"R": r, "S": s})
+        assert len(got) == len(rows(got)) == len(rows(eval_pandas(t, {"R": r, "S": s})))
+
     def test_to_sql_string_constant_quoting(self, r):
         t = Filter(EqConst("label", "O'Brien"), Rel("T"))
         tri = pd.DataFrame({"src": [1], "label": ["O'Brien"], "dst": [2]})

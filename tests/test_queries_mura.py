@@ -118,16 +118,16 @@ class TestReach:
 
 class TestBaselinesOnMuraTerms:
     def test_myria_capacity_error(self):
-        from repro.baselines.myria import CapacityError, eval_term_myria
+        from repro.core.compiler_pandas import CapacityError, eval_pandas
 
         # dense graph → same-generation explodes past a tiny cap
         t = random_tree(300, seed=1).rename(columns={"src": "dst", "dst": "src"})
         with pytest.raises(CapacityError):
-            eval_term_myria(same_generation_term("G"), t[["src", "dst"]], row_cap=50)
+            eval_pandas(same_generation_term("G"), {"G": t[["src", "dst"]]}, row_cap=50)
 
     def test_centralized_same_generation(self, parent_rel):
-        from repro.baselines.centralized import eval_term_centralized
+        from repro.core.compiler_sql import eval_duckdb
 
-        a = eval_term_centralized(same_generation_term("G"), parent_rel)
+        a = eval_duckdb(same_generation_term("G"), {"G": parent_rel})
         b = eval_pandas(same_generation_term("R"), {"R": parent_rel})
         assert pairs(a) == pairs(b)

@@ -2,11 +2,19 @@
 BigDatalog substitute — correctness vs the reference, plus assertions
 that each baseline exhibits exactly the capability gap the paper
 attributes to it (no reversal, full closures, start-only filtering)."""
-import pytest
+import re
 
+import pandas as pd
+import pytest
+from pyspark.sql import functions as F
+
+from repro.baselines import pregel
 from repro.baselines.bigdatalog import eval_crpq_bigdatalog, plan_crpq_bigdatalog
 from repro.baselines.pregel import CapacityError, build_nfa, eval_crpq_pregel
 from repro.core import compiler_pandas
+from repro.core.compiler_spark import eval_spark
+from repro.core.query2mu import GRAPH
+from repro.core.terms import Union_
 from repro.core.planner import plan_crpq
 from repro.core.cost import GraphStats
 from repro.core.reference import eval_crpq
@@ -54,6 +62,51 @@ def test_pregel_capacity_error_is_the_engines_one(spark, spark_triples):
     # engine's catches Pregel's message cap too.
     with pytest.raises(compiler_pandas.CapacityError):
         eval_crpq_pregel(spark, spark_triples, "?x, ?y <- ?x (a|b|c)+ ?y", max_rows=50)
+
+
+def test_pregel_atoms_run_p_gld(monkeypatch, spark, spark_triples, small_triples_list):
+    """Each atom is one fixpoint over the messages, run by forced P_gld."""
+    cfgs = []
+
+    def spy(term, env, spark, cfg):
+        cfgs.append(cfg)
+        return eval_spark(term, env, spark, cfg)
+
+    monkeypatch.setattr(pregel, "eval_spark", spy)
+    q = parse_query("?x, ?y <- ?x a+/-b ?y, ?y c+ 7")
+    got = run_set(eval_crpq_pregel(spark, spark_triples, q), q)
+    assert got == eval_crpq(q, small_triples_list)
+    assert [cfg.chosen for cfg in cfgs] == [["gld"], ["gld"]]
+
+
+def final_exchanges(df) -> int:
+    """The exchanges of the final adaptive plan of ``df``, once run."""
+    df.collect()
+    plan = df._jdf.queryExecution().executedPlan().toString().split("== Initial Plan ==")[0]
+    return sum(bool(re.match(r"\w*Exchange\b", n.lstrip(" :+-"))) for n in plan.splitlines())
+
+
+def test_pregel_superstep_shuffles_like_union_distinct(spark, spark_triples, small_triples):
+    """A superstep in both directions deduplicates its two branches once:
+    its φ has as many exchanges as GraphX-style union().dropDuplicates()."""
+    nodes = sorted(set(small_triples["src"]) | set(small_triples["dst"]))
+    msgs = spark.createDataFrame(pd.DataFrame({"origin": nodes, "node": nodes, "state": 0}))
+    trans = "state long, label string, nxt long"
+    fwd = spark.createDataFrame([(0, "a", 0), (0, "c", 1)], trans)
+    bwd = spark.createDataFrame([(0, "b", 0), (1, "a", 0)], trans)
+    env = {pregel.M: msgs, GRAPH: spark_triples, pregel.FWD: fwd, pregel.BWD: bwd}
+    phi = eval_spark(Union_(pregel.superstep(pregel.FWD), pregel.superstep(pregel.BWD)), env, spark)
+
+    g = spark_triples
+    parts = [
+        msgs.join(g, msgs["node"] == g[here]).join(t, on=["state", "label"])
+        .select("origin", F.col(there).alias("node"), F.col("nxt").alias("state"))
+        for t, here, there in ((fwd, "src", "dst"), (bwd, "dst", "src"))
+    ]
+    graphx = parts[0].union(parts[1]).dropDuplicates()
+    assert final_exchanges(phi) == final_exchanges(graphx)
+    cols = ["origin", "node", "state"]
+    assert sorted(phi.select(cols).collect()) == sorted(graphx.select(cols).collect())
 
 
 class TestBigdatalogCapabilityGap:
