@@ -26,8 +26,10 @@ Under ``auto``, P_gld first hands the whole fixpoint to one worker
 (``gld→local``: Proposition 3 with a single part needs no stable column
 and no final distinct). Spark then evaluates only the fixpoint's
 *inputs*, its maximal shuffle-free subterms (:func:`split_inputs`), and
-counts them in one job. If they fit the broadcast budget they are
-collected and broadcast, and one Python task runs :func:`eval_pandas`
+checks them against the broadcast budget before anything is collected:
+from Catalyst's row counts when every input has an upper bound there
+(:func:`_row_bound`), else by counting them in one job. If they fit they
+are collected and broadcast, and one Python task runs :func:`eval_pandas`
 on the fixpoint: φ's constants, the seeds and the loop. If they do not,
 nothing is collected and the distributed loop runs
 (``gld(broadcast-fallback)``).
@@ -49,9 +51,11 @@ from .compiler_sql import eval_duckdb
 from .fcond import check_fcond, constant_variable_split, semi_naive
 from .stabilizer import stable_columns
 from .terms import (
+    AntiJoin,
     AntiProject,
     Filter,
     Fix,
+    Join,
     Rel,
     Rename,
     Term,
@@ -149,7 +153,9 @@ def execute_fixpoint(
             return _hand_off(fix, env, spark, cfg)
         strategy = "plw_s"
     # P_plw's local engines deduplicate their seeds; P_gld needs a set.
-    phi2, seeds, cenv = _bind_constants(fix, env, spark, cfg, strategy == "gld" or not stable)
+    phi2, seeds, cenv, consts = _bind_constants(
+        fix, env, spark, cfg, strategy == "gld" or not stable
+    )
     if strategy in ("plw_s", "plw_pg") and not stable:
         # Forced P_plw without a stable column would lose the
         # disjointness guarantee; the paper never does this — fall back.
@@ -158,15 +164,16 @@ def execute_fixpoint(
     if strategy == "gld":
         cfg.chosen.append(strategy)
         return _run_gld(phi2, fix.var, seeds, cenv, spark, cfg)
-    return _run_plw(phi2, fix.var, seeds, sorted(stable), cenv, spark, cfg, strategy)
+    return _run_plw(phi2, fix.var, seeds, sorted(stable), cenv, consts, spark, cfg, strategy)
 
 
 def _bind_constants(
     fix: Fix, env: Mapping[str, DataFrame], spark: SparkSession, cfg: FixConfig,
     distinct: bool = True,
-) -> tuple[Term, DataFrame, dict[str, DataFrame]]:
-    """φ over its constant relations, the seeds, and ``env`` with those
-    relations bound, for the distributed plans.
+) -> tuple[Term, DataFrame, dict[str, DataFrame], dict[str, Term]]:
+    """φ over its constant relations, the seeds, ``env`` with those
+    relations bound, and the term over ``env`` of each relation, for the
+    distributed plans.
 
     φ's constants are evaluated once, at their first use; every plan reads
     them, and so do the seeds wherever they compute the same relation.
@@ -179,7 +186,7 @@ def _bind_constants(
     for name, t in consts.items():
         cenv[name] = eval_spark(t, env, spark, cfg).localCheckpoint(eager=False)
     seeds = eval_spark(read_constants(const, consts), cenv, spark, cfg, distinct)
-    return phi2, seeds, cenv
+    return phi2, seeds, cenv, consts
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +230,73 @@ def split_inputs(fix: Fix, prefix: str) -> tuple[Fix, dict[str, Term], Counter[s
     return local, {name: core for core, name in slices.items()}, Counter(inputs.values())
 
 
-def _over_budget(dfs: Mapping[str, DataFrame], copies: Counter[str], cfg: FixConfig) -> bool:
-    """Whether Σ copies × rows over the slices exceeds the broadcast
-    budget (``broadcast_rows``, and ``row_cap`` if lower). One Spark job
-    counts them: one task reads them all, so adding the counts up needs
-    no shuffle."""
+def _leaf_rows(df: DataFrame) -> int | None:
+    """The rows of ``df`` as Catalyst knows them without running a job, if
+    its plan is a leaf that holds or counts its rows: local data (built
+    from pandas), a range, or a cache whose buffers are all built.
+
+    No other plan gives a number that is never too low. A sample's count
+    is an estimate, and so is that of a cache or checkpoint of one. The
+    stats of a plan are computed once, so a cache's are refreshed: read
+    before its buffers were built, they are those of the cached plan.
+    """
+    plan = df._jdf.queryExecution().optimizedPlan()
+    kind = plan.nodeName()
+    if kind == "InMemoryRelation":
+        if not plan.cacheBuilder().isCachedColumnBuffersLoaded():
+            return None
+        plan.invalidateStatsCache()
+    elif kind not in ("LocalRelation", "Range"):
+        return None
+    rows = plan.stats().rowCount()
+    return int(rows.get()) if rows.isDefined() else None
+
+
+def _row_bound(t: Term, env: Mapping[str, DataFrame]) -> int | None:
+    """An upper bound on the rows of the fixpoint-free term ``t`` over
+    ``env``, found without a Spark job; None if a leaf has no count.
+
+    Leaves read their count from Catalyst (:func:`_leaf_rows`). With
+    ``spark.sql.cbo.enabled`` and ``spark.sql.cbo.planStats.enabled`` off,
+    as :func:`repro.bench.session.get_spark` leaves them, Catalyst counts
+    only local, in-memory and range leaves, never from table statistics
+    an ``ANALYZE`` may have left stale. σ, ρ and π̃ keep their child's
+    bound, ▷ its left side's; ∪ adds its sides' and ⋈ multiplies them.
+    """
+    if isinstance(t, Rel):
+        return _leaf_rows(env[t.name])
+    if isinstance(t, (Filter, Rename, AntiProject)):
+        return _row_bound(t.child, env)
+    if isinstance(t, AntiJoin):
+        return _row_bound(t.left, env)
+    if isinstance(t, (Union_, Join)):
+        left, right = _row_bound(t.left, env), _row_bound(t.right, env)
+        if left is None or right is None:
+            return None
+        return left + right if isinstance(t, Union_) else left * right
+    return None
+
+
+def _over_budget(
+    dfs: Mapping[str, DataFrame],
+    terms: Mapping[str, Term],
+    env: Mapping[str, DataFrame],
+    copies: Counter[str],
+    cfg: FixConfig,
+) -> bool:
+    """Whether Σ copies × rows over the relations ``dfs`` exceeds the
+    broadcast budget (``broadcast_rows``, and ``row_cap`` if lower).
+
+    ``terms`` gives each relation's term over ``env``. If all of them have
+    a row bound (:func:`_row_bound`) and the bounds fit, no job runs.
+    Otherwise one Spark job counts the relations: one task reads them
+    all, so adding the counts up needs no shuffle."""
+    budget = cfg.broadcast_rows if cfg.row_cap is None else min(cfg.row_cap, cfg.broadcast_rows)
+    bounds = [_row_bound(terms[name], env) for name in copies]
+    if None not in bounds and sum(n * b for n, b in zip(copies.values(), bounds)) <= budget:
+        return False
     weighted = [dfs[name].select(F.lit(n).alias("w")) for name, n in copies.items()]
     rows = reduce(DataFrame.unionAll, weighted).coalesce(1).agg(F.sum("w")).collect()
-    budget = cfg.broadcast_rows if cfg.row_cap is None else min(cfg.row_cap, cfg.broadcast_rows)
     return (rows[0][0] or 0) > budget
 
 
@@ -242,9 +308,9 @@ def _hand_off(
 
     Spark evaluates the inputs only (a nested fixpoint through the
     planner, checkpointed so that counting and collecting run it once)
-    and counts them before anything is collected, so a fallback collects
-    nothing. The fallback reads the same input DataFrames, so no nested
-    fixpoint is planned twice.
+    and checks them against the budget before anything is collected, so
+    a fallback collects nothing. The fallback reads the same input
+    DataFrames, so no nested fixpoint is planned twice.
     """
     local, slices, copies = split_inputs(fix, cfg.fresh())
     dfs = {}
@@ -253,9 +319,9 @@ def _hand_off(
         if any(isinstance(s, Fix) for s in walk(core)):
             df = df.localCheckpoint(eager=False)
         dfs[name] = df
-    if _over_budget(dfs, copies, cfg):
+    if _over_budget(dfs, slices, env, copies, cfg):
         cfg.chosen.append("gld(broadcast-fallback)")
-        phi2, seeds, cenv = _bind_constants(local, {**env, **dfs}, spark, cfg)
+        phi2, seeds, cenv, _ = _bind_constants(local, {**env, **dfs}, spark, cfg)
         return _run_gld(phi2, fix.var, seeds, cenv, spark, cfg)
     cfg.chosen.append("gld→local")
 
@@ -289,22 +355,37 @@ def _run_gld(
     """Driver loop; distributed ∪/∖ with a distinct per iteration.
 
     φ's branches are one term, so one query evaluates them and their
-    distinct union (eval_spark returns a set)."""
+    distinct union (eval_spark returns a set).
+
+    The loop runs with Catalyst's constraint propagation off. A checkpoint
+    keeps the constraints of the plan it ran, such as ``isnotnull`` on a
+    non-nullable column (one built from ``spark.range``, say). A plan that
+    reads one checkpoint twice gives the second read fresh column ids,
+    but Spark 4.1 keeps its constraints over the old ones, and a union
+    over it then fails (``key not found`` in ``rewriteConstraints``).
+    x ∪ new is such a union: each delta keeps the column ids of x. With
+    propagation off, the checkpoints carry no constraints."""
     cols = list(seeds.columns)
-    x = new = seeds.localCheckpoint()
+    key = "spark.sql.constraintPropagation.enabled"
+    propagate = spark.conf.get(key)
+    spark.conf.set(key, "false")
+    try:
+        x = new = seeds.localCheckpoint()
 
-    def step() -> int:
-        nonlocal x, new
-        delta = eval_spark(phi2, {**cenv, var: new}, spark, cfg)
-        new = delta.join(x, on=cols, how="left_anti").localCheckpoint()
-        n_new = new.count()
-        if n_new:
-            # new is distinct and disjoint from x, so the union stays a
-            # set without a further distinct.
-            x = x.unionByName(new).localCheckpoint()
-        return n_new
+        def step() -> int:
+            nonlocal x, new
+            delta = eval_spark(phi2, {**cenv, var: new}, spark, cfg)
+            new = delta.join(x, on=cols, how="left_anti").localCheckpoint()
+            n_new = new.count()
+            if n_new:
+                # new is distinct and disjoint from x, so the union stays a
+                # set without a further distinct.
+                x = x.unionByName(new).localCheckpoint()
+            return n_new
 
-    semi_naive(step, x.count(), cfg.row_cap)
+        semi_naive(step, x.count(), cfg.row_cap)
+    finally:
+        spark.conf.set(key, propagate)
     return x
 
 
@@ -319,6 +400,7 @@ def _run_plw(
     seeds: DataFrame,
     part_cols: list[str],
     cenv: Mapping[str, DataFrame],
+    consts: Mapping[str, Term],
     spark: SparkSession,
     cfg: FixConfig,
     engine: str,
@@ -326,15 +408,18 @@ def _run_plw(
     """Run φ's semi-naive loop on each worker over its partition of
     ``seeds`` by the stable columns ``part_cols``, with the relations φ
     reads besides ``var`` broadcast. Equal rows of ``seeds`` share a
-    partition, whose engine removes the duplicates."""
+    partition, whose engine removes the duplicates. ``consts`` gives the
+    term of each of φ's constant relations in ``cenv``."""
     if engine not in ("plw_s", "plw_pg"):
         raise ValueError(f"unknown P_plw engine {engine!r}")
     rels = {s.name: cenv[s.name] for s in walk(phi2) if isinstance(s, Rel) and s.name != var}
     # If those relations overrun the broadcast budget, fall back to P_gld
     # (distributed shuffle joins) — the same family of decisions a join
-    # planner makes between broadcast and shuffle joins. They are counted
-    # in one job before anything is collected, so a fallback collects nothing.
-    if rels and _over_budget(rels, Counter(rels.keys()), cfg):
+    # planner makes between broadcast and shuffle joins. They are checked
+    # before anything is collected, so a fallback collects nothing: from
+    # the row bounds of their terms, else by counting them in one job.
+    terms = {name: consts.get(name, Rel(name)) for name in rels}
+    if rels and _over_budget(rels, terms, cenv, Counter(rels.keys()), cfg):
         cfg.chosen.append("gld(broadcast-fallback)")
         return _run_gld(phi2, var, seeds.distinct(), cenv, spark, cfg)
     cfg.chosen.append(engine)

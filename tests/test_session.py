@@ -41,6 +41,14 @@ def test_python_channels_round_trip(spark):
     pd.testing.assert_frame_equal(back, pdf, check_dtype=False)
 
 
+def test_cost_based_optimizer_stays_off(spark):
+    # plans._row_bound trusts Catalyst's row counts only while these are
+    # off: then Catalyst counts only local, in-memory and range leaves,
+    # never from table statistics an ANALYZE may have left stale.
+    for key in ("spark.sql.cbo.enabled", "spark.sql.cbo.planStats.enabled"):
+        assert spark.conf.get(key) == "false"
+
+
 def test_socket_path_fits_with_long_tmpdir_and_cwd(tmp_path, monkeypatch):
     long = tmp_path / ("d" * (200 - len(str(tmp_path)) - 1))
     long.mkdir()

@@ -3,6 +3,9 @@ P_plw^s (SetRDD-style pandas local loops), P_plw^pg (per-partition
 DuckDB), the auto selection rule, and the P_plw disjointness guarantee."""
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from pyspark.sql import functions as F
 
 from repro.core import plans
 from repro.core.compiler_pandas import eval_pandas
@@ -12,7 +15,10 @@ from repro.core.fcond import constant_variable_split
 from repro.core.paper_queries import YAGO_QUERIES
 from repro.core.planner import plan_crpq
 from repro.core.plans import extract_constants, read_constants, split_inputs
+from repro.core.reference import eval_rx_pairs
+from repro.core.rpq import Label, Plus
 from repro.core.terms import (
+    AntiJoin,
     AntiProject,
     EqConst,
     Filter,
@@ -109,26 +115,78 @@ def jobs_of(spark, group):
     return sc.statusTracker().getJobIdsForGroup(group)
 
 
-def test_hand_off_runs_only_the_inputs_in_spark(spark, fig2_e):
-    # Spark counts and collects merged_fix's one input relation, E; the
-    # action runs constants, seeds and loop in one Python task.
+def build_and_run(spark, group, fix, env, cfg):
+    """Build ``fix`` and collect it, under the job groups ``group``-build
+    and ``group``-action. Returns the rows, the build's job ids, and the
+    number of the action's tasks."""
     sc = spark.sparkContext
-    env = {"E": spark.createDataFrame(fig2_e)}
-    cfg = FixConfig(strategy="auto")
     try:
-        sc.setJobGroup("hand-off-build", "hand-off-build")
-        out = eval_spark(merged_fix(), env, spark, cfg)
-        sc.setJobGroup("hand-off-action", "hand-off-action")
+        sc.setJobGroup(f"{group}-build", group)
+        out = eval_spark(fix, env, spark, cfg)
+        sc.setJobGroup(f"{group}-action", group)
         got = out.toPandas()
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
-    assert cfg.chosen == ["gld→local"]
-    action = jobs_of(spark, "hand-off-action")
-    assert len(jobs_of(spark, "hand-off-build")) + len(action) <= 4
     tracker = sc.statusTracker()
+    action = jobs_of(spark, f"{group}-action")
     stages = [s for j in action for s in tracker.getJobInfo(j).stageIds]
-    assert sum(tracker.getStageInfo(s).numTasks for s in stages) == 1
+    tasks = sum(tracker.getStageInfo(s).numTasks for s in stages)
+    return got, jobs_of(spark, f"{group}-build"), tasks
+
+
+def test_hand_off_runs_only_the_inputs_in_spark(spark, fig2_e):
+    # merged_fix's one input relation, E, is built from pandas, so its
+    # row count bounds it with no job: building the plan collects E in
+    # one job and counts nothing. The action runs constants, seeds and
+    # loop in one Python task.
+    env = {"E": spark.createDataFrame(fig2_e)}
+    cfg = FixConfig(strategy="auto")
+    got, build, tasks = build_and_run(spark, "hand-off", merged_fix(), env, cfg)
+    assert cfg.chosen == ["gld→local"]
+    assert len(build) == 1
+    assert tasks == 1
     assert pairs(got) == pairs(eval_pandas(merged_fix(), {"E": fig2_e.copy()}))
+
+
+def test_hand_off_counts_inputs_without_a_row_bound(spark, fig2_e):
+    # Built from a list, E has no row count in Catalyst: one job counts it
+    # before the one that collects it.
+    env = {"E": spark.createDataFrame(fig2_e.values.tolist(), "src long, dst long")}
+    cfg = FixConfig(strategy="auto")
+    got, build, tasks = build_and_run(spark, "hand-off-count", merged_fix(), env, cfg)
+    assert cfg.chosen == ["gld→local"]
+    assert len(build) == 2
+    assert tasks == 1
+    assert pairs(got) == pairs(eval_pandas(merged_fix(), {"E": fig2_e.copy()}))
+
+
+@pytest.mark.parametrize("strategy", ["gld", "plw_s", "auto"])
+def test_closure_over_range_built_edges(spark, strategy):
+    # A 5-edge chain from spark.range: its columns are non-nullable, so
+    # Catalyst infers isnotnull constraints for them, which the
+    # checkpoints of P_gld's loop once carried into a failing union.
+    n = 5
+    edges = spark.range(n).select(F.col("id").alias("src"), (F.col("id") + 1).alias("dst"))
+    cfg = FixConfig(strategy=strategy)
+    got = pairs(eval_spark(right_tc("E", "E"), {"E": edges}, spark, cfg).toPandas())
+    want = eval_rx_pairs(Plus(Label("e")), [(i, "e", i + 1) for i in range(n)])
+    assert len(want) == 15
+    assert got == sorted(want)
+
+
+def test_plw_collects_bounded_constants_without_counting(spark, small_triples):
+    # φ's one constant, ρ(σ[label=b](G)), is bounded by the rows of G,
+    # built from pandas: building the plan collects it in one job and
+    # counts nothing.
+    fix = Fix("X", Union_(atom("a"), compose(Var("X"), atom("b"))))
+    env = {"G": spark.createDataFrame(small_triples)}
+    cfg = FixConfig(strategy="plw_s")
+    got, build, _ = build_and_run(spark, "plw", fix, env, cfg)
+    assert cfg.chosen == ["plw_s"]
+    assert len(build) == 1
+    want = eval_pandas(fix, {"G": small_triples})
+    assert len(want) > 0
+    assert pairs(got) == pairs(want)
 
 
 def nested_merged_fix():
@@ -516,3 +574,69 @@ class TestReadConstants:
         assert read_constants(Join(core, nested), cmap) == Join(
             Rename("m9", "src", Rel("__bc_0")), nested
         )
+
+
+# Terms over {src, dst} whose leaves all have row counts in Catalyst: P
+# built from pandas, C a built cache, and the pairs of a spark.range.
+RANGE_PAIRS = Join(Rename("id", "src", Rel("R")), Rename("id", "dst", Rel("R")))
+bounded_terms = st.recursive(
+    st.sampled_from([Rel("P"), Rel("C"), RANGE_PAIRS]),
+    lambda kids: st.one_of(
+        st.builds(lambda t, v: Filter(EqConst("src", v), t), kids, st.integers(0, 12)),
+        kids.map(inverse),
+        st.builds(Union_, kids, kids),
+        st.builds(compose, kids, kids),
+        st.builds(AntiJoin, kids, kids),
+    ),
+    max_leaves=4,
+)
+
+
+class TestRowBound:
+    """plans._row_bound: an upper bound on a term's rows, read from
+    Catalyst's row counts without a Spark job."""
+
+    @pytest.fixture(scope="class")
+    def frames(self, fig2_e):
+        return {"P": fig2_e, "C": fig2_e.iloc[:6], "R": pd.DataFrame({"id": range(4)})}
+
+    @pytest.fixture(scope="class")
+    def env(self, spark, frames):
+        # A query that reads a cached frame through spark.sql drops its
+        # cache when the query's view is dropped, so the tests count rows
+        # with eval_pandas.
+        cached = spark.createDataFrame(frames["C"]).cache()
+        cached.count()  # builds the cache's buffers, which count its rows
+        yield {"P": spark.createDataFrame(frames["P"]), "C": cached, "R": spark.range(4)}
+        cached.unpersist()
+
+    def test_leaves_are_exact(self, env, frames):
+        for name, pdf in frames.items():
+            assert plans._row_bound(Rel(name), env) == len(pdf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=bounded_terms)
+    def test_bound_is_never_below_the_count(self, env, frames, t):
+        bound = plans._row_bound(t, env)
+        assert bound is not None
+        assert bound >= len(eval_pandas(t, frames))
+
+    @pytest.mark.parametrize("make", [
+        lambda spark, pdf: spark.createDataFrame(pdf.values.tolist(), "src long, dst long"),
+        lambda spark, pdf: spark.createDataFrame(pdf).localCheckpoint(),
+        lambda spark, pdf: spark.range(8).filter("id > 1"),
+        lambda spark, pdf: spark.createDataFrame(pdf).sample(0.5, seed=1),
+        lambda spark, pdf: spark.createDataFrame(pdf).sample(0.5, seed=1).cache(),
+    ], ids=["list", "checkpoint", "filter", "sample", "unbuilt-cache"])
+    def test_no_bound_without_a_counted_leaf(self, spark, env, fig2_e, make):
+        # A sample's count in Catalyst is an estimate, which can be below
+        # the true count; so is that of a cache of a sample before its
+        # buffers are built.
+        env = {**env, "L": make(spark, fig2_e)}
+        assert plans._row_bound(Rel("L"), env) is None
+        assert plans._row_bound(Union_(Rel("P"), Rel("L")), env) is None
+        assert plans._row_bound(Join(Rel("C"), Rel("L")), env) is None
+        env["L"].unpersist()
+
+    def test_no_bound_over_a_fixpoint(self, env):
+        assert plans._row_bound(Union_(Rel("P"), right_tc("P", "C")), env) is None
