@@ -5,15 +5,18 @@ Times, in one process:
 * ``compiler_pandas.seminaive_loop`` alone (seeds evaluated beforehand)
   on the inputs of perfbench's local-engines workload — transitive
   closure over rnd_700_0.01 and same generation over tree_700, three
-  graphs each — and on the larger closures of ROADMAP.md's kernel probe
-  (rnd_1k_0.01, tree_15k, rnd_2k_0.01);
+  graphs each — on the larger closures of ROADMAP.md's kernel probe
+  (rnd_1k_0.01, tree_15k, rnd_2k_0.01), and on rnd_1k_0.01 with its node
+  ids spread by 2¹⁶, whose domain is over ``compiler_pandas.DENSE_BITS``;
 * ``eval_pandas`` and DuckDB (``eval_duckdb``, default threads) on the
   planned terms of yago_lite 30k Q25 and Q21. Q16 is left out: its 23M
   result rows exhaust memory in pandas.
 
 Each case runs once to warm up, then REPEATS times; the JSON records
-every time, the median, the row count (both engines must agree) and the
-environment (cores, library versions, commit of the evaluated sources).
+every time, the median, the row count (both engines must agree), the
+encoding that each fixpoint's X ends with (``RowSet.encoding``: dense,
+sorted or index) and the environment (cores, library versions, commit of
+the evaluated sources).
 
     PYTHONPATH=src python jobs/kernel_bench.py [--out BENCH_kernel.json]
 """
@@ -32,6 +35,7 @@ import numpy as np
 import pandas as pd
 
 from repro.bench.harness import commit
+from repro.core import compiler_pandas
 from repro.core.compiler_pandas import eval_pandas, seminaive_loop
 from repro.core.compiler_sql import eval_duckdb
 from repro.core.cost import GraphStats
@@ -65,6 +69,24 @@ def record(times: list[float], rows: int) -> dict:
     return {"median_s": statistics.median(times), "times_s": times, "rows": rows}
 
 
+def x_encodings(fn) -> list[str]:
+    """The encoding that each X ends with while ``fn()`` runs, in the
+    order the loops start (a RowSet subclass records them)."""
+    made = []
+
+    class Recorded(compiler_pandas.RowSet):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    compiler_pandas.RowSet = Recorded
+    try:
+        fn()
+    finally:
+        compiler_pandas.RowSet = Recorded.__base__
+    return [x.encoding for x in made]
+
+
 def kernel_inputs() -> list[tuple[str, Fix, pd.DataFrame]]:
     """(name, fixpoint over R, R) for each kernel case."""
     tc = Fix("X", Union_(Rel("R"), compose(Var("X"), Rel("R"), "m0")))
@@ -80,6 +102,7 @@ def kernel_inputs() -> list[tuple[str, Fix, pd.DataFrame]]:
     cases.append(("tc rnd_1k_0.01", tc, erdos_renyi(1000, 0.01, seed=1)))
     cases.append(("tc tree_15k", tc, random_tree(15_000, seed=0)))
     cases.append(("tc rnd_2k_0.01", tc, erdos_renyi(2000, 0.01, seed=1)))
+    cases.append(("tc rnd_1k_0.01 ids×2¹⁶", tc, erdos_renyi(1000, 0.01, seed=1) * (1 << 16)))
     return cases
 
 
@@ -89,9 +112,11 @@ def bench_kernel() -> dict:
         env = {"R": rel}
         const, phi = constant_variable_split(fix)
         seeds = eval_pandas(const, env)
-        times, rows = timings(lambda: seminaive_loop(phi, fix.var, seeds, env))
-        out[name] = {"edges": len(rel), **record(times, rows)}
-        print(f"  seminaive_loop {name:<22} {out[name]['median_s']:8.3f}s rows={rows}", flush=True)
+        run = lambda: seminaive_loop(phi, fix.var, seeds, env)  # noqa: E731
+        (enc,) = x_encodings(run)
+        out[name] = {"edges": len(rel), "x_encoding": enc, **record(*timings(run))}
+        print(f"  seminaive_loop {name:<24} {out[name]['median_s']:8.3f}s "
+              f"rows={out[name]['rows']} X={enc}", flush=True)
     return out
 
 
@@ -109,6 +134,7 @@ def bench_yago() -> dict:
             res[system] = record(*timings(run))
             print(f"  yago_lite_{YAGO_EDGES} {qid} {system:<7} {res[system]['median_s']:8.3f}s "
                   f"rows={res[system]['rows']}", flush=True)
+        res["pandas"]["x_encodings"] = x_encodings(lambda: eval_pandas(term, {GRAPH: tri}))
         if res["pandas"]["rows"] != res["duckdb"]["rows"]:
             raise SystemExit(f"{qid}: pandas and DuckDB disagree on the row count")
         out[qid] = res
