@@ -12,7 +12,11 @@ Times, in one process:
   planned terms of yago_lite 30k Q25 and Q21. Q16 is left out: its 23M
   result rows exhaust memory in pandas.
 
-Each case runs once to warm up, then REPEATS times; the JSON records
+Each case runs in a fresh process (a case timed after another one
+depends on what that one allocated and freed: yago_lite 30k Q21 under
+DuckDB read 2 % faster after the parent's sorted-key pandas kernel than
+after the bitmap kernel, and the same on both alone). There it runs once
+to warm up, then REPEATS times; the JSON records
 every time, the median, the row count (both engines must agree), the
 encoding that each fixpoint's X ends with (``RowSet.encoding``: dense,
 sorted or index) and the environment (cores, library versions, commit of
@@ -24,10 +28,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import duckdb
@@ -106,35 +112,49 @@ def kernel_inputs() -> list[tuple[str, Fix, pd.DataFrame]]:
     return cases
 
 
+def in_child(fn, *args):
+    """``fn(*args)`` in a fresh process."""
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def kernel_case(name: str) -> dict:
+    fix, rel = {n: (f, r) for n, f, r in kernel_inputs()}[name]
+    env = {"R": rel}
+    const, phi = constant_variable_split(fix)
+    seeds = eval_pandas(const, env)
+    run = lambda: seminaive_loop(phi, fix.var, seeds, env)  # noqa: E731
+    (enc,) = x_encodings(run)
+    return {"edges": len(rel), "x_encoding": enc, **record(*timings(run))}
+
+
 def bench_kernel() -> dict:
     out = {}
-    for name, fix, rel in kernel_inputs():
-        env = {"R": rel}
-        const, phi = constant_variable_split(fix)
-        seeds = eval_pandas(const, env)
-        run = lambda: seminaive_loop(phi, fix.var, seeds, env)  # noqa: E731
-        (enc,) = x_encodings(run)
-        out[name] = {"edges": len(rel), "x_encoding": enc, **record(*timings(run))}
+    for name, _, _ in kernel_inputs():
+        out[name] = in_child(kernel_case, name)
         print(f"  seminaive_loop {name:<24} {out[name]['median_s']:8.3f}s "
-              f"rows={out[name]['rows']} X={enc}", flush=True)
+              f"rows={out[name]['rows']} X={out[name]['x_encoding']}", flush=True)
+    return out
+
+
+def yago_case(qid: str, system: str) -> dict:
+    tri, consts = yago_lite(YAGO_EDGES, seed=0)
+    term = plan_crpq(parse_query(YAGO_QUERIES[qid]), GraphStats.from_pandas(tri), consts).term
+    evaluate = {"pandas": eval_pandas, "duckdb": eval_duckdb}[system]
+    out = record(*timings(lambda: evaluate(term, {GRAPH: tri})))
+    if system == "pandas":
+        out["x_encodings"] = x_encodings(lambda: eval_pandas(term, {GRAPH: tri}))
     return out
 
 
 def bench_yago() -> dict:
-    tri, consts = yago_lite(YAGO_EDGES, seed=0)
-    stats = GraphStats.from_pandas(tri)
     out = {}
     for qid in YAGO_QIDS:
-        term = plan_crpq(parse_query(YAGO_QUERIES[qid]), stats, consts).term
         res = {}
-        for system, run in (
-            ("pandas", lambda: eval_pandas(term, {GRAPH: tri})),
-            ("duckdb", lambda: eval_duckdb(term, {GRAPH: tri})),
-        ):
-            res[system] = record(*timings(run))
+        for system in ("pandas", "duckdb"):
+            res[system] = in_child(yago_case, qid, system)
             print(f"  yago_lite_{YAGO_EDGES} {qid} {system:<7} {res[system]['median_s']:8.3f}s "
                   f"rows={res[system]['rows']}", flush=True)
-        res["pandas"]["x_encodings"] = x_encodings(lambda: eval_pandas(term, {GRAPH: tri}))
         if res["pandas"]["rows"] != res["duckdb"]["rows"]:
             raise SystemExit(f"{qid}: pandas and DuckDB disagree on the row count")
         out[qid] = res
