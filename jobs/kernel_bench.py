@@ -1,6 +1,6 @@
 """Benchmark of the partition-local kernels, without Spark.
 
-Times, in one process:
+Times:
 
 * ``compiler_pandas.seminaive_loop`` alone (seeds evaluated beforehand)
   on the inputs of perfbench's local-engines workload — transitive
@@ -12,12 +12,12 @@ Times, in one process:
   planned terms of yago_lite 30k Q25 and Q21. Q16 is left out: its 23M
   result rows exhaust memory in pandas.
 
-Each case runs in a fresh process (a case timed after another one
-depends on what that one allocated and freed: yago_lite 30k Q21 under
-DuckDB read 2 % faster after the parent's sorted-key pandas kernel than
-after the bitmap kernel, and the same on both alone). There it runs once
-to warm up, then REPEATS times; the JSON records
-every time, the median, the row count (both engines must agree), the
+Each case runs in a fresh process: a case timed after another one
+depends on what that one allocated and freed (yago_lite 30k Q21 under
+DuckDB ran 2 % faster after a sorted-key pandas kernel than after the
+bitmap one, and the same in a process of its own). There it runs once to
+warm up, then REPEATS times. The JSON records every time, the median,
+the row count (both engines must agree), the
 encoding that each fixpoint's X ends with (``RowSet.encoding``: dense,
 sorted or index) and the environment (cores, library versions, commit of
 the evaluated sources).
