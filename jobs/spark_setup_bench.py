@@ -1,6 +1,6 @@
 """Benchmark of what a Yago query costs on Spark before and during its action.
 
-For Yago Q1, Q21 and Q25, under Dist-μ-RA (``dist``: ``plan_crpq`` with
+For Yago Q1, Q20, Q21 and Q25, under Dist-μ-RA (``dist``: ``plan_crpq`` with
 the ``auto`` plan choice) and the BigDatalog-like plan (``bdl``), on
 yago_lite 5k and 30k, it times two phases of each query:
 
@@ -56,7 +56,7 @@ from repro.graphs.yago import yago_lite
 REPEATS = 5
 NOOP_RUNS = 10
 SCALES = (5_000, 30_000)
-QIDS = ("Q1", "Q21", "Q25")
+QIDS = ("Q1", "Q20", "Q21", "Q25")
 SYSTEMS = ("dist", "bdl")
 
 _groups = itertools.count()

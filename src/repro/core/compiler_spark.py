@@ -11,6 +11,7 @@ reads their results as relations.
 from __future__ import annotations
 
 import itertools
+import uuid
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, TypeVar
 
@@ -41,9 +42,9 @@ class FixConfig:
     # closures surface as failures instead of unbounded runs.
     row_cap: int | None = None
     # At most this many rows are collected to the driver and broadcast:
-    # φ's constant relations for P_plw, the fixpoint's inputs (its
-    # shuffle-free subterms) for the P_gld hand-off. Also capped by
-    # ``row_cap``.
+    # the constant relations of a P_plw pass (of each φ, and of the seeds
+    # of each chained fixpoint), the fixpoint's inputs (its shuffle-free
+    # subterms) for the P_gld hand-off. Also capped by ``row_cap``.
     broadcast_rows: int = 4_000_000
     # One plan label per fixpoint, filled in by plans.py, for tests/benches.
     chosen: list[str] = field(default_factory=list)
@@ -95,19 +96,20 @@ def eval_spark(
 
     Each maximal fixpoint runs through the physical plans. A bare relation
     or fixpoint is returned as its DataFrame; anything else is one
-    ``spark.sql`` query over the DataFrames it reads, passed as keyword
-    arguments: PySpark binds each to a temporary view for that call only.
+    ``spark.sql`` query over the DataFrames it reads, each bound to a
+    temporary view of its own for that call only. The views are dropped
+    through the session catalog, which leaves a cached frame cached:
+    PySpark's ``catalog.dropTempView`` (and so ``spark.sql(**frames)``)
+    uncaches the view's plan.
     """
     cfg = cfg or FixConfig()
     frames: dict[str, DataFrame] = {}
     reads: dict[str, Rel] = {}
 
     def read(df: DataFrame) -> Rel:
-        # The relation is named by the placeholder that PySpark's
-        # formatter replaces with the view of ``df``.
-        key = f"r{len(frames)}"
-        frames[key] = df
-        return Rel(f"{{{key}}}")
+        name = f"_repro_{uuid.uuid4().hex}"
+        frames[name] = df
+        return Rel(name)
 
     def lift(t: Term) -> Term:
         if isinstance(t, Fix):
@@ -125,8 +127,16 @@ def eval_spark(
     query = lift(term)
     if isinstance(query, Rel):
         return next(iter(frames.values()))
-    inputs = {f"{{{key}}}": df.columns for key, df in frames.items()}
+    inputs = {name: df.columns for name, df in frames.items()}
     sql, params = to_sql(query, inputs, marker=":", distinct=distinct)
     # to_sql sorts its columns; callers read them in DataFrame-API order.
     order = ", ".join(columns(query, {n: dict.fromkeys(cs) for n, cs in inputs.items()}))
-    return spark.sql(f"SELECT {order} FROM ({sql})", args=params, **frames)
+    catalog = spark._jsparkSession.sessionState().catalog()
+    try:
+        for name, df in frames.items():
+            df.createOrReplaceTempView(name)
+        # The query is analyzed here, so it no longer needs its views.
+        return spark.sql(f"SELECT {order} FROM ({sql})", args=params)
+    finally:
+        for name in frames:
+            catalog.dropTempView(name)

@@ -107,6 +107,21 @@ def check_fcond(fix: Fix) -> None:
                 )
 
 
+def is_linear(t: Term, x: str) -> bool:
+    """Whether ``t`` is positive and linear in ``x`` and reads ``x`` in
+    every branch of its top-level union. Then t(∅) = ∅ and, by
+    Proposition 1, t(S₁ ∪ S₂) = t(S₁) ∪ t(S₂)."""
+    try:
+        check_fcond(Fix(x, t))
+        for b in union_branches(t):
+            if x not in free_vars(b):
+                return False
+            _check_vanishes_at_empty(b, x)
+    except FCondError:
+        return False
+    return True
+
+
 def constant_variable_split(fix: Fix) -> tuple[Term, Term]:
     """Decompose μ(X = Ψ) into (R, φ) with Ψ ≡ R ∪ φ (Proposition 2).
 

@@ -18,7 +18,20 @@ Two plan families:
   Two implementations, matching the paper's Fig. 7 comparison:
   ``plw_s`` (partition-local loop in pandas, our SetRDD analogue) and
   ``plw_pg`` (partition-local loop in an embedded DuckDB instance — the
-  per-worker PostgreSQL substitute, DESIGN.md §4).
+  per-worker PostgreSQL substitute, DESIGN.md §4). Both evaluate the
+  same local term, μ(X = ``__seeds`` ∪ φ), with :func:`eval_pandas` or
+  :func:`eval_duckdb`.
+
+  A P_plw fixpoint X whose seeds read a nested P_plw fixpoint Y runs in
+  Y's partitions (:func:`_chain`), when S, the seeds with Y as a
+  variable, are linear in Y and pass the columns that Y's partitions are
+  hashed on into stable columns of X: Spark repartitions only Y's seeds,
+  and one pass evaluates μ(X = S[μ(Y = ``__seeds`` ∪ φ_Y)] ∪ φ_X), with
+  nothing shuffled between the loops. Chains nest; an unchained fixpoint
+  is the chain of length one. The constants of every fixpoint in the
+  pass are broadcast, those that differ only in their outer renames
+  once, and checked against the budget together; over it, the last
+  fixpoint runs alone over the output of the others.
 
 Plan selection (``strategy="auto"``) is the paper's rule §IV-B-c:
 stable column exists → repartition by it and run P_plw, else P_gld.
@@ -38,18 +51,18 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import StructField, StructType
+from pyspark.sql.types import DataType, StructField, StructType
 
-from .compiler_pandas import eval_pandas, seminaive_loop
+from .compiler_pandas import eval_pandas
 from .compiler_spark import FixConfig, columns, eval_spark
 from .compiler_sql import eval_duckdb
-from .fcond import check_fcond, constant_variable_split, semi_naive
-from .stabilizer import stable_columns
+from .fcond import check_fcond, constant_variable_split, is_linear, semi_naive
+from .stabilizer import provenance, stable_columns
 from .terms import (
     AntiJoin,
     AntiProject,
@@ -60,10 +73,14 @@ from .terms import (
     Rename,
     Term,
     Union_,
+    Var,
+    children,
+    free_rels,
     is_constant_in,
     map_children,
     pinned,
     schema,
+    subst,
     walk,
 )
 
@@ -135,6 +152,9 @@ def read_constants(t: Term, consts: Mapping[str, Term]) -> Term:
     return rec(t)
 
 
+_SEEDS = "__seeds"
+
+
 def execute_fixpoint(
     fix: Fix,
     env: Mapping[str, DataFrame],
@@ -142,51 +162,140 @@ def execute_fixpoint(
     cfg: FixConfig,
 ) -> DataFrame:
     """Entry point used by the Spark compiler for μ(X = Ψ)."""
-    check_fcond(fix)
-    const, phi = constant_variable_split(fix)
-    env_schemas = {k: frozenset(df.columns) for k, df in env.items()}
-    stable = stable_columns(phi, fix.var, env_schemas, schema(const, env_schemas))
-
+    if cfg.strategy not in ("auto", "gld", "plw_s", "plw_pg"):
+        raise ValueError(f"unknown fixpoint strategy {cfg.strategy!r}")
+    schemas = {k: frozenset(df.columns) for k, df in env.items()}
+    stable = _stable_columns(fix, schemas)
     strategy = cfg.strategy
     if strategy == "auto":
         if not stable:
             return _hand_off(fix, env, spark, cfg)
         strategy = "plw_s"
-    # P_plw's local engines deduplicate their seeds; P_gld needs a set.
-    phi2, seeds, cenv, consts = _bind_constants(
-        fix, env, spark, cfg, strategy == "gld" or not stable
-    )
-    if strategy in ("plw_s", "plw_pg") and not stable:
-        # Forced P_plw without a stable column would lose the
-        # disjointness guarantee; the paper never does this — fall back.
-        cfg.chosen.append("gld(no-stable-column)")
-        return _run_gld(phi2, fix.var, seeds, cenv, spark, cfg)
-    if strategy == "gld":
-        cfg.chosen.append(strategy)
-        return _run_gld(phi2, fix.var, seeds, cenv, spark, cfg)
-    return _run_plw(phi2, fix.var, seeds, sorted(stable), cenv, consts, spark, cfg, strategy)
+    if strategy != "gld" and stable:
+        # P_plw's local engines deduplicate their seeds.
+        levels, seeds, cenv, terms = _bind_constants(
+            _chain(fix, stable, schemas)[0], env, spark, cfg, distinct=False
+        )
+        return _run_plw(levels, seeds, cenv, terms, spark, cfg, strategy)
+    (level,), seeds, cenv, _ = _bind_constants([(fix, None, [])], env, spark, cfg)
+    # Forced P_plw without a stable column would lose the disjointness
+    # guarantee; the paper never does this — fall back to P_gld.
+    cfg.chosen.append("gld" if strategy == "gld" else "gld(no-stable-column)")
+    return _run_gld(level.phi, fix.var, seeds, cenv, spark, cfg)
+
+
+def _stable_columns(fix: Fix, schemas: Mapping[str, frozenset[str]]) -> frozenset[str]:
+    check_fcond(fix)
+    const, phi = constant_variable_split(fix)
+    return stable_columns(phi, fix.var, schemas, schema(const, schemas))
+
+
+def _nested(t: Term) -> list[Fix]:
+    """The maximal fixpoints in ``t``."""
+    return [t] if isinstance(t, Fix) else [f for c in children(t) for f in _nested(c)]
+
+
+_Chain = list[tuple[Fix, Term | None, list[str]]]
+
+
+def _chain(
+    fix: Fix, stable: frozenset[str], schemas: Mapping[str, frozenset[str]]
+) -> tuple[_Chain, list[str]]:
+    """The fixpoints that one P_plw pass ending with ``fix`` runs in the
+    partitions of the first one's seeds, and the columns of ``fix`` that
+    those partitions are hashed on.
+
+    Each fixpoint comes with its stable columns and, after the first, with
+    its seeds S, which read the fixpoint before it as its own variable.
+    ``fix`` chains onto a nested fixpoint Y when Y is the one maximal
+    fixpoint of its seeds and would run P_plw itself; S is linear and
+    positive in Y (so Y is not joined with itself) and reads it in every
+    ∪ branch; and each column that Y's partitions are hashed on is the
+    provenance of a stable column of ``fix``. Then S(Y) is the union of S
+    over Y's parts (Proposition 1), and the part of ``fix`` grown from one
+    part of Y keeps that part's hashed values in those stable columns, so
+    the parts stay disjoint (Proposition 3 and stability). Otherwise
+    ``fix`` runs alone, hashed on its stable columns.
+    """
+    const, _ = constant_variable_split(fix)
+    nested = set(_nested(const))
+    if len(nested) == 1:
+        (y,) = nested
+        s = _replace(const, y, Var(fix.var))
+        y_stable = _stable_columns(y, schemas)
+        if y_stable and is_linear(s, fix.var):
+            chain, y_part = _chain(y, y_stable, schemas)
+            prov = provenance(s, fix.var, schemas, schema(y, schemas))
+            part = [next((c for c in sorted(stable) if prov[c] == p), None) for p in y_part]
+            if None not in part:
+                return [*chain, (fix, s, sorted(stable))], part
+    return [(fix, None, sorted(stable))], sorted(stable)
+
+
+def _replace(t: Term, old: Term, new: Term) -> Term:
+    return new if t == old else map_children(t, lambda c: _replace(c, old, new))
+
+
+class _Level(NamedTuple):
+    """One fixpoint of a P_plw pass (or of P_gld), over the relations
+    that :func:`_bind_constants` binds."""
+
+    var: str
+    phi: Term
+    seeds: Term  # the first fixpoint's R; a chained one's S, reading ``var``
+    stable: list[str]
 
 
 def _bind_constants(
-    fix: Fix, env: Mapping[str, DataFrame], spark: SparkSession, cfg: FixConfig,
+    chain: _Chain,
+    env: Mapping[str, DataFrame],
+    spark: SparkSession,
+    cfg: FixConfig,
     distinct: bool = True,
-) -> tuple[Term, DataFrame, dict[str, DataFrame], dict[str, Term]]:
-    """φ over its constant relations, the seeds, ``env`` with those
-    relations bound, and the term over ``env`` of each relation, for the
-    distributed plans.
+) -> tuple[list[_Level], DataFrame, dict[str, DataFrame], dict[str, Term]]:
+    """Each fixpoint of ``chain`` over its constant relations, the seeds
+    of the first, ``env`` with those relations bound, and the term over
+    ``env`` of each relation.
 
-    φ's constants are evaluated once, at their first use; every plan reads
-    them, and so do the seeds wherever they compute the same relation.
-    The seeds are a set unless ``distinct`` is false: then their
-    outermost ∪ and π̃ keep duplicates.
+    The constants of each φ, and of each chained fixpoint's seeds, are
+    extracted under the fixpoint's own prefix. Those that differ only in
+    their outer renames share one relation, their core, evaluated once at
+    its first use; a constant reads it with the renames re-applied, and a
+    core that is a bare relation is read as it is. The first fixpoint's
+    seeds are evaluated with every subterm equal to a core read from it.
+    They are a set unless ``distinct`` is false: then their outermost ∪
+    and π̃ keep duplicates.
     """
-    const, phi = constant_variable_split(fix)
-    phi2, consts = extract_constants(phi, fix.var, cfg.fresh())
-    cenv = dict(env)
-    for name, t in consts.items():
-        cenv[name] = eval_spark(t, env, spark, cfg).localCheckpoint(eager=False)
-    seeds = eval_spark(read_constants(const, consts), cenv, spark, cfg, distinct)
-    return phi2, seeds, cenv, consts
+    cenv, cores = dict(env), {}
+    levels = []
+    for fix, s, stable in reversed(chain):  # outermost first, as fixpoints nest
+        const, phi = constant_variable_split(fix)
+        if s is None:
+            phi, consts = extract_constants(phi, fix.var, cfg.fresh())
+        else:
+            both, consts = extract_constants(Union_(s, phi), fix.var, cfg.fresh())
+            s, phi = both.left, both.right
+        reads = {}
+        for name, t in consts.items():
+            core, renames = _peel(t)
+            read = core
+            if not isinstance(core, Rel):
+                if core not in cores:
+                    cores[core] = name
+                    cenv[name] = eval_spark(core, env, spark, cfg).localCheckpoint(eager=False)
+                read = Rel(cores[core])
+            for r in reversed(renames):
+                read = Rename(r.old, r.new, read)
+            reads[name] = read
+
+        def reread(t: Term) -> Term:
+            return reads.get(t.name, t) if isinstance(t, Rel) else map_children(t, reread)
+
+        seeds = const if s is None else reread(s)
+        levels.insert(0, _Level(fix.var, reread(phi), seeds, stable))
+    terms = {name: core for core, name in cores.items()}
+    seeds = eval_spark(read_constants(levels[0].seeds, terms), cenv, spark, cfg, distinct)
+    return levels, seeds, cenv, terms
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +430,8 @@ def _hand_off(
         dfs[name] = df
     if _over_budget(dfs, slices, env, copies, cfg):
         cfg.chosen.append("gld(broadcast-fallback)")
-        phi2, seeds, cenv, _ = _bind_constants(local, {**env, **dfs}, spark, cfg)
-        return _run_gld(phi2, fix.var, seeds, cenv, spark, cfg)
+        (level,), seeds, cenv, _ = _bind_constants([(local, None, [])], {**env, **dfs}, spark, cfg)
+        return _run_gld(level.phi, fix.var, seeds, cenv, spark, cfg)
     cfg.chosen.append("gld→local")
 
     const, _ = constant_variable_split(local)
@@ -394,42 +503,84 @@ def _run_gld(
 # ---------------------------------------------------------------------------
 
 
+def _local_term(levels: list[_Level]) -> Fix:
+    """μ(X = S[μ(Y = __seeds ∪ φ_Y)] ∪ φ_X), and so on along ``levels``."""
+    first, *chained = levels
+    t = Fix(first.var, Union_(Rel(_SEEDS), first.phi))
+    for level in chained:
+        t = Fix(level.var, Union_(subst(level.seeds, level.var, t), level.phi))
+    return t
+
+
+def _copies(t: Term) -> Counter[str]:
+    """For each relation that ``t`` reads, the number of renamings it is
+    read under."""
+    reads = set()
+
+    def rec(u: Term) -> None:
+        core, _ = _peel(u)
+        if isinstance(core, Rel):
+            reads.add(u)
+        else:
+            for c in children(core):
+                rec(c)
+
+    rec(t)
+    return Counter(_peel(u)[0].name for u in reads)
+
+
+def _fields(df: DataFrame) -> dict[str, tuple[DataType, bool]]:
+    return {f.name: (f.dataType, f.nullable) for f in df.schema}
+
+
 def _run_plw(
-    phi2: Term,
-    var: str,
+    levels: list[_Level],
     seeds: DataFrame,
-    part_cols: list[str],
     cenv: Mapping[str, DataFrame],
-    consts: Mapping[str, Term],
+    terms: Mapping[str, Term],
     spark: SparkSession,
     cfg: FixConfig,
     engine: str,
 ) -> DataFrame:
-    """Run φ's semi-naive loop on each worker over its partition of
-    ``seeds`` by the stable columns ``part_cols``, with the relations φ
-    reads besides ``var`` broadcast. Equal rows of ``seeds`` share a
-    partition, whose engine removes the duplicates. ``consts`` gives the
-    term of each of φ's constant relations in ``cenv``."""
-    if engine not in ("plw_s", "plw_pg"):
-        raise ValueError(f"unknown P_plw engine {engine!r}")
-    rels = {s.name: cenv[s.name] for s in walk(phi2) if isinstance(s, Rel) and s.name != var}
-    # If those relations overrun the broadcast budget, fall back to P_gld
+    """Run the fixpoints of ``levels`` in one P_plw pass: ``seeds``, the
+    first one's, are hashed on its stable columns, and each partition's
+    engine evaluates :func:`_local_term` over its seeds, with every other
+    relation it reads broadcast. Equal rows of ``seeds`` share a
+    partition, whose engine removes the duplicates. ``terms`` gives the
+    term over ``cenv`` of each relation bound there."""
+    local = _local_term(levels)
+    copies = _copies(local)
+    del copies[_SEEDS]
+    rels = {name: cenv[name] for name in copies}
+    # If those relations overrun the broadcast budget, run P_gld
     # (distributed shuffle joins) — the same family of decisions a join
     # planner makes between broadcast and shuffle joins. They are checked
     # before anything is collected, so a fallback collects nothing: from
     # the row bounds of their terms, else by counting them in one job.
-    terms = {name: consts.get(name, Rel(name)) for name in rels}
-    if rels and _over_budget(rels, terms, cenv, Counter(rels.keys()), cfg):
-        cfg.chosen.append("gld(broadcast-fallback)")
-        return _run_gld(phi2, var, seeds.distinct(), cenv, spark, cfg)
-    cfg.chosen.append(engine)
+    bounded = {name: terms.get(name, Rel(name)) for name in rels}
+    if rels and _over_budget(rels, bounded, cenv, copies, cfg):
+        *inner, top = levels
+        if not inner:
+            cfg.chosen.append("gld(broadcast-fallback)")
+            return _run_gld(top.phi, top.var, seeds.distinct(), cenv, spark, cfg)
+        # The last fixpoint runs alone, over the output of the others.
+        x = _run_plw(inner, seeds, cenv, terms, spark, cfg, engine)
+        top_seeds = eval_spark(top.seeds, {**cenv, top.var: x}, spark, cfg, distinct=False)
+        return _run_plw([top], top_seeds, cenv, terms, spark, cfg, engine)
+    cfg.chosen.extend([engine] * len(levels))
 
     n = cfg.num_partitions or spark.sparkContext.defaultParallelism
     # Hash-repartition the constant part by the stable column(s):
     # Proposition 3 + stability ⇒ partition-local fixpoints are disjoint.
-    seeds = seeds.repartition(n, *part_cols)
+    seeds = seeds.repartition(n, *levels[0].stable)
+    # Each chained fixpoint's columns are those of its seeds S.
+    fields = _fields(seeds)
+    for level in levels[1:]:
+        inputs = {name: _fields(cenv[name]) for name in free_rels(level.seeds)}
+        fields = columns(level.seeds, {**inputs, level.var: fields})
+    out = StructType([StructField(c, t, null) for c, (t, null) in fields.items()])
     bc = spark.sparkContext.broadcast({name: df.toPandas() for name, df in rels.items()})
-    out_cols = seeds.columns
+    evaluate = eval_pandas if engine == "plw_s" else eval_duckdb
     row_cap = cfg.row_cap
 
     def run_partition(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -439,11 +590,6 @@ def _run_plw(
         local_seeds = pd.concat(parts, ignore_index=True)
         if local_seeds.empty:
             return
-        if engine == "plw_s":
-            result = seminaive_loop(phi2, var, local_seeds, bc.value, row_cap)
-        else:
-            fix = Fix(var, Union_(Rel("__seeds"), phi2))
-            result = eval_duckdb(fix, {**bc.value, "__seeds": local_seeds}, row_cap)
-        yield result[out_cols]
+        yield evaluate(local, {**bc.value, _SEEDS: local_seeds}, row_cap)[out.names]
 
-    return seeds.mapInPandas(run_partition, schema=seeds.schema)
+    return seeds.mapInPandas(run_partition, schema=out)

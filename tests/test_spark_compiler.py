@@ -2,6 +2,7 @@
 shuffles and Spark jobs, besides the rows they return."""
 import pandas as pd
 
+from repro.core import plans
 from repro.core.compiler_spark import eval_spark
 from repro.core.terms import AntiJoin, AntiProject, EqConst, Filter, Rel
 
@@ -47,3 +48,20 @@ def test_antijoin_without_shared_columns_runs_no_job(spark):
     assert sorted(rows(kept)) == [(1, 2), (2, 3), (3, 1)]
     assert rows(dropped) == []
     assert set(tracker.getJobIdsForGroup()) > before  # the tracker sees jobs
+
+
+def test_cached_input_stays_cached(spark):
+    # The query's temporary views are dropped without uncaching what they
+    # read, so a built cache keeps its buffers, and the row count that
+    # they give the broadcast budget, across queries.
+    g = spark.createDataFrame(TRIPLES).cache()
+    g.count()
+    cache = spark._jsparkSession.sharedState().cacheManager()
+    env = {"G": g}
+    for label, want in (("a", [(1, 2), (2, 3)]), ("b", [(1, 2), (3, 1)])):
+        out = eval_spark(AntiProject(("label",), Filter(EqConst("label", label), Rel("G"))), env, spark)
+        assert sorted(rows(out)) == want
+        assert "InMemoryTableScan" in executed_plan(out)
+        assert cache.lookupCachedData(g._jdf).isDefined()
+        assert plans._row_bound(Rel("G"), env) == len(TRIPLES)
+    g.unpersist()

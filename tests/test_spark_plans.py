@@ -602,9 +602,6 @@ class TestRowBound:
 
     @pytest.fixture(scope="class")
     def env(self, spark, frames):
-        # A query that reads a cached frame through spark.sql drops its
-        # cache when the query's view is dropped, so the tests count rows
-        # with eval_pandas.
         cached = spark.createDataFrame(frames["C"]).cache()
         cached.count()  # builds the cache's buffers, which count its rows
         yield {"P": spark.createDataFrame(frames["P"]), "C": cached, "R": spark.range(4)}
