@@ -31,7 +31,6 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..core.compiler_spark import FixConfig, eval_spark
-from ..core.fcond import CapacityError  # noqa: F401 (re-exported for callers)
 from ..core.fcond import union_of
 from ..core.query2mu import GRAPH
 from ..core.rpq import CRPQ, Alt, Atom, Label, Plus, Rx, Seq, is_var, parse_query, var_col
@@ -152,9 +151,6 @@ def eval_atom_pregel(
     # right, so only a leading constant is pushed (paper §V-C).
     if not is_var(atom.subj):
         v = int(atom.subj) if atom.subj.isdigit() else consts[atom.subj]
-        # Not spark.range: once P_gld checkpoints a range whose id is
-        # aliased (origin = node), its first union of new rows fails in
-        # Spark 4.1 (NoSuchElementException: key not found).
         origins = spark.createDataFrame([(v,)], "node long")
     else:
         origins = (

@@ -6,8 +6,9 @@ This backend plays two roles:
   analogue: each Spark partition runs its own semi-naive loop here) and
   the one-task loop of the ``gld→local`` hand-off, see
   :mod:`repro.core.plans`;
-* :func:`eval_pandas`, the single-machine evaluator that the Myria-like
-  baseline calls directly and that tests use as a fast reference.
+* :func:`eval_pandas`, the single-machine evaluator that the benchmark
+  suites run as the Myria-like baseline and that tests use as a fast
+  reference.
 
 :func:`eval_pandas` and :func:`seminaive_loop` take and return pandas
 DataFrames. Inside, a relation is columnar: a dict of equal-length NumPy
@@ -47,7 +48,6 @@ from typing import Callable, Mapping, Union
 import numpy as np
 import pandas as pd
 
-from .fcond import CapacityError  # noqa: F401 (re-exported for callers)
 from .fcond import check_fcond, constant_variable_split, semi_naive, union_branches
 from .terms import (
     AntiJoin,

@@ -18,6 +18,7 @@ from typing import Iterator, Mapping, TypeVar
 from pyspark.sql import DataFrame, SparkSession
 
 from .compiler_sql import to_sql
+from .fcond import constant_variable_split
 from .terms import AntiJoin, AntiProject, Fix, Join, Rel, Rename, Term, Var, children, map_children
 
 V = TypeVar("V")
@@ -60,17 +61,20 @@ class FixConfig:
 
 
 def columns(t: Term, env: Mapping[str, Mapping[str, V]]) -> dict[str, V]:
-    """The columns of the fixpoint-free term ``t`` in the order the
-    DataFrame API gives them, each with the value ``env`` gives the input
-    column it comes from (its Spark type, say).
+    """The columns of ``t`` in the order the DataFrame API gives them,
+    each with the value ``env`` gives the input column it comes from (its
+    Spark type, say).
 
     ``env`` maps each relation to its columns in order. A join or
     antijoin puts the shared columns first, sorted, then the left side's
     others and (a join) the right side's; a rename keeps the column's
-    place; ∪, σ and π̃ keep the order of their (left) child.
+    place; ∪, σ and π̃ keep the order of their (left) child, and a
+    fixpoint that of its constant part.
     """
     if isinstance(t, (Rel, Var)):
         return dict(env[t.name])
+    if isinstance(t, Fix):
+        return columns(constant_variable_split(t)[0], env)
     if isinstance(t, (Join, AntiJoin)):
         left, right = columns(t.left, env), columns(t.right, env)
         shared = {c: left[c] for c in sorted(left.keys() & right.keys())}

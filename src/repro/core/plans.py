@@ -46,17 +46,20 @@ are collected and broadcast, and one Python task runs :func:`eval_pandas`
 on the fixpoint: φ's constants, the seeds and the loop. If they do not,
 nothing is collected and the distributed loop runs
 (``gld(broadcast-fallback)``).
+
+Both P_plw and the hand-off end in :func:`_run_local`: the hand-off is a
+P_plw pass over one part, whose local term reads no seeds.
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import DataType, StructField, StructType
+from pyspark.sql.types import StructField, StructType
 
 from .compiler_pandas import eval_pandas
 from .compiler_spark import FixConfig, columns, eval_spark
@@ -75,7 +78,6 @@ from .terms import (
     Union_,
     Var,
     children,
-    free_rels,
     is_constant_in,
     map_children,
     pinned,
@@ -125,31 +127,12 @@ def _peel(t: Term) -> tuple[Term, list[Rename]]:
     return t, renames
 
 
-def read_constants(t: Term, consts: Mapping[str, Term]) -> Term:
-    """``t`` with every subterm equal to a constant's core replaced by a
-    read of that constant's relation.
-
-    A constant's core is the constant without its outer renames; the read
-    is the constant's relation with those renames inverted, applied in
-    reverse order. Cores that are a bare ``Rel`` are left alone (they are
-    named inputs already), and so are nested fixpoints, which are planned
-    on their own.
-    """
-    reads: dict[Term, Term] = {}
-    for name, const in consts.items():
-        core, renames = _peel(const)
-        read: Term = Rel(name)
-        for r in renames:
-            read = Rename(r.new, r.old, read)
-        if not isinstance(core, Rel):
-            reads.setdefault(core, read)
-
-    def rec(u: Term) -> Term:
-        if u in reads:
-            return reads[u]
-        return u if isinstance(u, Fix) else map_children(u, rec)
-
-    return rec(t)
+def _read(name: str, renames: list[Rename]) -> Term:
+    """A read of relation ``name`` under ``renames``, outermost first."""
+    read: Term = Rel(name)
+    for r in reversed(renames):
+        read = Rename(r.old, r.new, read)
+    return read
 
 
 _SEEDS = "__seeds"
@@ -221,7 +204,7 @@ def _chain(
     nested = set(_nested(const))
     if len(nested) == 1:
         (y,) = nested
-        s = _replace(const, y, Var(fix.var))
+        s = _replace(const, {y: Var(fix.var)})
         y_stable = _stable_columns(y, schemas)
         if y_stable and is_linear(s, fix.var):
             chain, y_part = _chain(y, y_stable, schemas)
@@ -232,8 +215,12 @@ def _chain(
     return [(fix, None, sorted(stable))], sorted(stable)
 
 
-def _replace(t: Term, old: Term, new: Term) -> Term:
-    return new if t == old else map_children(t, lambda c: _replace(c, old, new))
+def _replace(t: Term, reads: Mapping[Term, Term]) -> Term:
+    """``t`` with each subterm that ``reads`` maps replaced by its read.
+    Nested fixpoints are not entered: they are planned on their own."""
+    if t in reads:
+        return reads[t]
+    return t if isinstance(t, Fix) else map_children(t, lambda c: _replace(c, reads))
 
 
 class _Level(NamedTuple):
@@ -278,24 +265,16 @@ def _bind_constants(
         reads = {}
         for name, t in consts.items():
             core, renames = _peel(t)
-            read = core
-            if not isinstance(core, Rel):
-                if core not in cores:
-                    cores[core] = name
-                    cenv[name] = eval_spark(core, env, spark, cfg).localCheckpoint(eager=False)
-                read = Rel(cores[core])
-            for r in reversed(renames):
-                read = Rename(r.old, r.new, read)
-            reads[name] = read
-
-        def reread(t: Term) -> Term:
-            return reads.get(t.name, t) if isinstance(t, Rel) else map_children(t, reread)
-
-        seeds = const if s is None else reread(s)
-        levels.insert(0, _Level(fix.var, reread(phi), seeds, stable))
+            if not isinstance(core, Rel) and core not in cores:
+                cores[core] = name
+                cenv[name] = eval_spark(core, env, spark, cfg).localCheckpoint(eager=False)
+            base = core.name if isinstance(core, Rel) else cores[core]
+            reads[Rel(name)] = _read(base, renames)
+        seeds = const if s is None else _replace(s, reads)
+        levels.insert(0, _Level(fix.var, _replace(phi, reads), seeds, stable))
+    seeds = _replace(levels[0].seeds, {core: Rel(name) for core, name in cores.items()})
     terms = {name: core for core, name in cores.items()}
-    seeds = eval_spark(read_constants(levels[0].seeds, terms), cenv, spark, cfg, distinct)
-    return levels, seeds, cenv, terms
+    return levels, eval_spark(seeds, cenv, spark, cfg, distinct), cenv, terms
 
 
 # ---------------------------------------------------------------------------
@@ -313,30 +292,24 @@ def _is_input(t: Term) -> bool:
     return isinstance(t, (Rel, Fix))
 
 
-def split_inputs(fix: Fix, prefix: str) -> tuple[Fix, dict[str, Term], Counter[str]]:
+def split_inputs(fix: Fix, prefix: str) -> tuple[Fix, dict[str, Term]]:
     """``fix`` with each of its inputs, its maximal shuffle-free subterms,
-    replaced by a read of a relation named ``prefix`` and a number.
+    replaced by a read of a relation named ``prefix`` and a number, and
+    the slice of each name.
 
     Inputs that differ only in their outer renames are one relation slice
-    under one name; the read re-applies the renames. Returns the rewritten
-    fixpoint, the slice of each name, and for each name the number of
-    distinct inputs that read it (renamed copies count separately).
+    under one name; the read re-applies the renames.
     """
     slices: dict[Term, str] = {}  # slice → name
-    inputs: dict[Term, str] = {}  # input → name of its slice
 
     def rec(t: Term) -> Term:
         if not _is_input(t):
             return map_children(t, rec)
         core, renames = _peel(t)
-        read: Term = Rel(slices.setdefault(core, f"{prefix}{len(slices)}"))
-        inputs[t] = read.name
-        for r in reversed(renames):
-            read = Rename(r.old, r.new, read)
-        return read
+        return _read(slices.setdefault(core, f"{prefix}{len(slices)}"), renames)
 
     local = Fix(fix.var, rec(fix.body))
-    return local, {name: core for core, name in slices.items()}, Counter(inputs.values())
+    return local, {name: core for core, name in slices.items()}
 
 
 def _leaf_rows(df: DataFrame) -> int | None:
@@ -421,31 +394,20 @@ def _hand_off(
     a fallback collects nothing. The fallback reads the same input
     DataFrames, so no nested fixpoint is planned twice.
     """
-    local, slices, copies = split_inputs(fix, cfg.fresh())
+    local, slices = split_inputs(fix, cfg.fresh())
     dfs = {}
     for name, core in slices.items():
         df = eval_spark(core, env, spark, cfg)
         if any(isinstance(s, Fix) for s in walk(core)):
             df = df.localCheckpoint(eager=False)
         dfs[name] = df
-    if _over_budget(dfs, slices, env, copies, cfg):
+    if _over_budget(dfs, slices, env, _copies(local), cfg):
         cfg.chosen.append("gld(broadcast-fallback)")
         (level,), seeds, cenv, _ = _bind_constants([(local, None, [])], {**env, **dfs}, spark, cfg)
         return _run_gld(level.phi, fix.var, seeds, cenv, spark, cfg)
     cfg.chosen.append("gld→local")
-
-    const, _ = constant_variable_split(local)
-    types = columns(const, {n: {f.name: f.dataType for f in df.schema} for n, df in dfs.items()})
-    out = StructType([StructField(c, t) for c, t in types.items()])
-    bc = spark.sparkContext.broadcast({name: df.toPandas() for name, df in dfs.items()})
-    row_cap = cfg.row_cap
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for _ in batches:  # the one row that starts the task
-            pass
-        yield eval_pandas(local, bc.value, row_cap)[out.names]
-
-    return spark.range(0, 1, 1, 1).mapInPandas(run, schema=out)
+    # One task, started by one row that the local term does not read.
+    return _run_local(local, dfs, spark.range(0, 1, 1, 1), spark, cfg, eval_pandas)
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +491,6 @@ def _copies(t: Term) -> Counter[str]:
     return Counter(_peel(u)[0].name for u in reads)
 
 
-def _fields(df: DataFrame) -> dict[str, tuple[DataType, bool]]:
-    return {f.name: (f.dataType, f.nullable) for f in df.schema}
-
-
 def _run_plw(
     levels: list[_Level],
     seeds: DataFrame,
@@ -573,23 +531,35 @@ def _run_plw(
     # Hash-repartition the constant part by the stable column(s):
     # Proposition 3 + stability ⇒ partition-local fixpoints are disjoint.
     seeds = seeds.repartition(n, *levels[0].stable)
-    # Each chained fixpoint's columns are those of its seeds S.
-    fields = _fields(seeds)
-    for level in levels[1:]:
-        inputs = {name: _fields(cenv[name]) for name in free_rels(level.seeds)}
-        fields = columns(level.seeds, {**inputs, level.var: fields})
-    out = StructType([StructField(c, t, null) for c, (t, null) in fields.items()])
-    bc = spark.sparkContext.broadcast({name: df.toPandas() for name, df in rels.items()})
     evaluate = eval_pandas if engine == "plw_s" else eval_duckdb
+    return _run_local(local, rels, seeds, spark, cfg, evaluate)
+
+
+def _run_local(
+    local: Fix,
+    rels: Mapping[str, DataFrame],
+    seeds: DataFrame,
+    spark: SparkSession,
+    cfg: FixConfig,
+    evaluate: Callable[..., pd.DataFrame],
+) -> DataFrame:
+    """``local`` evaluated by ``evaluate`` in each non-empty partition of
+    ``seeds``, which it reads as ``__seeds``, with the relations ``rels``
+    collected and broadcast."""
+    # Each output column has the type and nullability of the input one.
+    fields = {name: {f.name: f for f in df.schema} for name, df in {**rels, _SEEDS: seeds}.items()}
+    cols = columns(local, fields)
+    out = StructType([StructField(c, f.dataType, f.nullable) for c, f in cols.items()])
+    bc = spark.sparkContext.broadcast({name: df.toPandas() for name, df in rels.items()})
     row_cap = cfg.row_cap
 
     def run_partition(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         parts = list(it)
         if not parts:
             return
-        local_seeds = pd.concat(parts, ignore_index=True)
-        if local_seeds.empty:
+        part = pd.concat(parts, ignore_index=True)
+        if part.empty:
             return
-        yield evaluate(local, {**bc.value, _SEEDS: local_seeds}, row_cap)[out.names]
+        yield evaluate(local, {**bc.value, _SEEDS: part}, row_cap)[out.names]
 
     return seeds.mapInPandas(run_partition, schema=out)

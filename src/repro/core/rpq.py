@@ -111,8 +111,6 @@ def var_col(endpoint: str) -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][\w:.']*|\d+|[-/+()|,]|\?[A-Za-z_]\w*|<-)")
-
 
 class ParseError(ValueError):
     pass

@@ -37,8 +37,6 @@ from .terms import (
     schema,
 )
 
-Prov = Mapping[str, Optional[str]]
-
 
 def provenance(
     t: Term,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.core import compiler_pandas
 from repro.core.compiler_pandas import (
-    CapacityError,
     anti_join,
     dedup,
     eval_pandas,
@@ -21,6 +20,7 @@ from repro.core.compiler_pandas import (
 )
 from repro.core.compiler_spark import FixConfig, eval_spark
 from repro.core.compiler_sql import DuckdbEvaluator, eval_duckdb, to_sql
+from repro.core.fcond import CapacityError
 from repro.core.query2mu import label_term
 from repro.core.terms import (
     AntiJoin,

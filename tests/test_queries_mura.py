@@ -118,7 +118,7 @@ class TestReach:
 
 class TestBaselinesOnMuraTerms:
     def test_myria_capacity_error(self):
-        from repro.core.compiler_pandas import CapacityError, eval_pandas
+        from repro.core.fcond import CapacityError
 
         # dense graph → same-generation explodes past a tiny cap
         t = random_tree(300, seed=1).rename(columns={"src": "dst", "dst": "src"})

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
+from repro.baselines.bigdatalog import plan_crpq_bigdatalog
 from repro.core import plans
 from repro.core.compiler_pandas import eval_pandas
-from repro.core.compiler_spark import FixConfig, eval_spark
+from repro.core.compiler_spark import FixConfig, columns, eval_spark
 from repro.core.cost import GraphStats
 from repro.core.fcond import constant_variable_split
 from repro.core.paper_queries import YAGO_QUERIES
 from repro.core.planner import plan_crpq
-from repro.core.plans import extract_constants, read_constants, split_inputs
+from repro.core.plans import _copies, _peel, _replace, extract_constants, split_inputs
 from repro.core.reference import eval_rx_pairs
 from repro.core.rpq import Label, Plus
 from repro.core.terms import (
@@ -251,6 +252,36 @@ def test_hand_off_counts_renamed_copies_of_inputs(
     assert pairs(out.toPandas()) == pairs(want)
 
 
+@pytest.mark.parametrize("case", ["bigdatalog-q20", "hand-off"])
+def test_local_runs_declare_the_columns_of_gld(spark, fig2_e, case):
+    # A P_plw pass of three chained fixpoints, and a gld→local hand-off:
+    # the one local runner declares the columns, in order and with their
+    # types, that the distributed loop returns on the same term.
+    if case == "bigdatalog-q20":
+        tri, consts = yago_lite(600, seed=1)
+        term = plan_crpq_bigdatalog(YAGO_QUERIES["Q20"], consts)
+        env, labels = {"G": spark.createDataFrame(tri)}, ["plw_s"] * 3
+    else:
+        term, env, labels = merged_fix(), {"E": spark.createDataFrame(fig2_e)}, ["gld→local"]
+    cfg = FixConfig()
+    local = eval_spark(term, env, spark, cfg)
+    assert cfg.chosen == labels
+    gld = eval_spark(term, env, spark, FixConfig(strategy="gld"))
+    assert local.dtypes == gld.dtypes
+    got, want = (sorted(map(tuple, df.toPandas().values.tolist())) for df in (local, gld))
+    assert got and got == want
+
+
+def test_fixpoint_columns_are_those_of_its_constant_part():
+    env = {"S": {"dst": "int", "src": "str"}, "E": {"src": "long", "dst": "long"}}
+    # The constant part of the outer fixpoint reads the inner one.
+    outer = Fix("X", Union_(compose(right_tc(), Rel("E")), compose(Var("X"), Rel("E"))))
+    for fix in (right_tc(), outer):
+        const, _ = constant_variable_split(fix)
+        assert list(columns(fix, env).items()) == list(columns(const, env).items())
+    assert list(columns(right_tc(), env).items()) == [("dst", "int"), ("src", "str")]
+
+
 @pytest.mark.parametrize("strategy", ["gld", "auto"])
 def test_nested_fixpoint_binds_no_name_of_the_outer_one(
     spark, fig2_e, fig2_s, strategy, monkeypatch
@@ -402,7 +433,7 @@ class TestRowCap:
     reproduction's stand-in for the paper's crash markers."""
 
     def test_gld_cap(self, spark, fig2_e, fig2_s):
-        from repro.core.compiler_pandas import CapacityError
+        from repro.core.fcond import CapacityError
 
         env = {"S": spark.createDataFrame(fig2_s), "E": spark.createDataFrame(fig2_e)}
         with pytest.raises(CapacityError):
@@ -499,28 +530,40 @@ class TestSplitInputs:
     Spark evaluates without a shuffle."""
 
     def test_renamed_copies_share_a_slice_and_count_separately(self):
-        local, slices, copies = split_inputs(merged_fix(), "__in_")
+        local, slices = split_inputs(merged_fix(), "__in_")
         assert slices == {"__in_0": Rel("E")}
-        assert copies == {"__in_0": 4}
+        assert _copies(local) == {"__in_0": 4}
         assert free_rels(local) == {"__in_0"}
 
     def test_pinned_antiprojection_is_part_of_an_input(self):
-        local, slices, copies = split_inputs(labelled_merged_fix(), "__in_")
+        local, slices = split_inputs(labelled_merged_fix(), "__in_")
         assert slices == {"__in_0": atom("a"), "__in_1": atom("b")}
-        assert copies == {"__in_0": 2, "__in_1": 2}
+        assert _copies(local) == {"__in_0": 2, "__in_1": 2}
         # A π̃ over a column that is not pinned needs a distinct: the
         # input stops below it.
         fix = Fix("X", Union_(AntiProject(("label",), Rel("G")), compose(Var("X"), Rel("E"))))
-        _, slices, _ = split_inputs(fix, "__in_")
+        _, slices = split_inputs(fix, "__in_")
         assert set(slices.values()) == {Rel("G"), Rel("E")}
 
     def test_nested_fixpoint_is_an_input(self):
-        _, slices, _ = split_inputs(nested_merged_fix(), "__in_")
+        _, slices = split_inputs(nested_merged_fix(), "__in_")
         assert right_tc() in slices.values()
 
 
+def core_reads(consts):
+    """Each constant's core, unless a bare relation, mapped to a read of
+    the first constant's relation with that core, as the P_plw plans bind
+    them: the relation holds the core."""
+    reads = {}
+    for name, t in consts.items():
+        core, _ = _peel(t)
+        if not isinstance(core, Rel):
+            reads.setdefault(core, Rel(name))
+    return reads
+
+
 class TestReadConstants:
-    """The seeds read φ's checkpointed constant relations instead of
+    """The seeds read φ's checkpointed constant cores instead of
     recomputing them."""
 
     def test_q25_seeds_read_the_co_actor_constant(self):
@@ -529,14 +572,12 @@ class TestReadConstants:
         (fix,) = [s for s in walk(term) if isinstance(s, Fix)]
         const, phi = constant_variable_split(fix)
         _, cmap = extract_constants(phi, fix.var)
-        seeds = read_constants(const, cmap)
-        # __bc_0 is ρ[dst→m2](co-actor composition), __bc_1 ρ[src→m2](hasChild).
+        reads = core_reads(cmap)
+        seeds = _replace(const, reads)
+        # __bc_0 holds the co-actor composition, __bc_1 hasChild.
         assert seeds == AntiProject(
             ("m1",),
-            Join(
-                Rename("dst", "m1", Rename("m2", "dst", Rel("__bc_0"))),
-                Rename("src", "m1", Rename("m2", "src", Rel("__bc_1"))),
-            ),
+            Join(Rename("dst", "m1", Rel("__bc_0")), Rename("src", "m1", Rel("__bc_1"))),
         )
         # The composition's inverse chain ρ[src→inv_t]/ρ[dst→src]/ρ[inv_t→dst]
         # is evaluated once, inside __bc_0, and no longer in the seeds.
@@ -544,36 +585,20 @@ class TestReadConstants:
         assert inv in walk(cmap["__bc_0"])
         assert inv in walk(const) and inv not in walk(seeds)
         g = {"G": tri}
-        cenv = {**g, **{name: eval_pandas(t, g) for name, t in cmap.items()}}
+        cenv = {**g, **{read.name: eval_pandas(core, g) for core, read in reads.items()}}
         want = eval_pandas(const, g)
         assert len(want) > 0
         assert pairs(eval_pandas(seeds, cenv)) == pairs(want)
 
-    def test_read_inverts_outer_renames_in_reverse_order(self, fig2_e):
-        core = compose(Rel("E"), Rel("E"))
-        # The constant is ρ[src→m9](ρ[inv_t→dst](ρ[dst→src](ρ[src→inv_t](core)))).
-        _, cmap = extract_constants(compose(Var("X"), inverse(core), "m9"), "X")
-        seeds = read_constants(Union_(core, Rel("E")), cmap)
-        read = Rename(
-            "inv_t",
-            "src",
-            Rename("src", "dst", Rename("dst", "inv_t", Rename("m9", "src", Rel("__bc_0")))),
-        )
-        assert seeds == Union_(read, Rel("E"))
-        cenv = {"E": fig2_e, "__bc_0": eval_pandas(cmap["__bc_0"], {"E": fig2_e})}
-        want = eval_pandas(Union_(core, Rel("E")), {"E": fig2_e})
-        assert pairs(eval_pandas(seeds, cenv)) == pairs(want)
-
     def test_bare_relations_and_nested_fixpoints_are_not_replaced(self):
         _, cmap = extract_constants(compose(Var("X"), Rel("E")), "X")
-        assert read_constants(compose(Rel("E"), Rel("E")), cmap) == compose(Rel("E"), Rel("E"))
+        ee = compose(Rel("E"), Rel("E"))
+        assert _replace(ee, core_reads(cmap)) == ee
         core = compose(Rel("E"), Rel("S"))
         _, cmap = extract_constants(compose(Var("X"), core, "m9"), "X")
         # A nested fixpoint binds its own constants under the same names.
         nested = Fix("Y", Union_(core, compose(Var("Y"), Rel("E"), "m9")))
-        assert read_constants(Join(core, nested), cmap) == Join(
-            Rename("m9", "src", Rel("__bc_0")), nested
-        )
+        assert _replace(Join(core, nested), core_reads(cmap)) == Join(Rel("__bc_0"), nested)
 
 
 # Terms over {src, dst} whose leaves all have row counts in Catalyst: P
