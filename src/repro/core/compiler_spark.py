@@ -42,10 +42,13 @@ class FixConfig:
     # (None = unlimited). Mirrors the paper's crash markers: runaway
     # closures surface as failures instead of unbounded runs.
     row_cap: int | None = None
-    # At most this many rows are collected to the driver and broadcast:
-    # the constant relations of a P_plw pass (of each φ, and of the seeds
-    # of each chained fixpoint), the fixpoint's inputs (its shuffle-free
-    # subterms) for the P_gld hand-off. Also capped by ``row_cap``.
+    # At most this many rows are collected to the driver and broadcast,
+    # also capped by ``row_cap``: a pass's inputs (the shuffle-free
+    # subterms of each fixpoint's φ and seeds), whose tasks then build
+    # the seeds (P_plw, the P_gld hand-off); else the constant relations
+    # of φ (and of each chained fixpoint's seeds), with the seeds built
+    # and repartitioned in Spark (P_plw). It does not bound what the
+    # tasks build: each of n tasks builds the seeds and φ's constants.
     broadcast_rows: int = 4_000_000
     # One plan label per fixpoint, filled in by plans.py, for tests/benches.
     chosen: list[str] = field(default_factory=list)

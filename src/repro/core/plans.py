@@ -8,12 +8,12 @@ Two plan families:
 
 * **P_plw** — *parallel local loops on the workers*: justified by
   Proposition 3, μ(X = R₁∪R₂∪φ) = μ(X = R₁∪φ) ∪ μ(X = R₂∪φ). The
-  constant part is hash-repartitioned by a *stable column* (see
-  :mod:`repro.core.stabilizer`), the non-recursive relations of φ are
-  broadcast, and each partition runs its own semi-naive loop with **no
-  data crossing the cluster during the recursion** and **no final
-  distinct** (the stable-column partitioning makes partition results
-  pairwise disjoint — proof in paper §IV-A2).
+  constant part is split into parts by the hash of a *stable column* (see
+  :mod:`repro.core.stabilizer`), the relations of φ are broadcast, and
+  each part runs its own semi-naive loop with **no data crossing the
+  cluster during the recursion** and **no final distinct** (the parts
+  are hash classes of stable columns, so their results are pairwise
+  disjoint — proof in paper §IV-A2).
 
   Two implementations, matching the paper's Fig. 7 comparison:
   ``plw_s`` (partition-local loop in pandas, our SetRDD analogue) and
@@ -23,38 +23,39 @@ Two plan families:
   :func:`eval_duckdb`.
 
   A P_plw fixpoint X whose seeds read a nested P_plw fixpoint Y runs in
-  Y's partitions (:func:`_chain`), when S, the seeds with Y as a
-  variable, are linear in Y and pass the columns that Y's partitions are
-  hashed on into stable columns of X: Spark repartitions only Y's seeds,
-  and one pass evaluates μ(X = S[μ(Y = ``__seeds`` ∪ φ_Y)] ∪ φ_X), with
-  nothing shuffled between the loops. Chains nest; an unchained fixpoint
-  is the chain of length one. The constants of every fixpoint in the
-  pass are broadcast, those that differ only in their outer renames
-  once, and checked against the budget together; over it, the last
-  fixpoint runs alone over the output of the others.
+  Y's parts (:func:`_chain`), when S, the seeds with Y as a variable, are
+  linear in Y and pass the columns that Y's parts are hashed on into
+  stable columns of X: one pass evaluates
+  μ(X = S[μ(Y = ``__seeds`` ∪ φ_Y)] ∪ φ_X), with nothing shuffled
+  between the loops. Chains nest; an unchained fixpoint is the chain of
+  length one.
 
 Plan selection (``strategy="auto"``) is the paper's rule §IV-B-c:
-stable column exists → repartition by it and run P_plw, else P_gld.
-Under ``auto``, P_gld first hands the whole fixpoint to one worker
-(``gld→local``: Proposition 3 with a single part needs no stable column
-and no final distinct). Spark then evaluates only the fixpoint's
-*inputs*, its maximal shuffle-free subterms (:func:`split_inputs`), and
-checks them against the broadcast budget before anything is collected:
-from Catalyst's row counts when every input has an upper bound there
-(:func:`_row_bound`), else by counting them in one job. If they fit they
-are collected and broadcast, and one Python task runs :func:`eval_pandas`
-on the fixpoint: φ's constants, the seeds and the loop. If they do not,
-nothing is collected and the distributed loop runs
-(``gld(broadcast-fallback)``).
+stable column exists → P_plw, else P_gld. Under ``auto``, P_gld first
+hands the whole fixpoint to one worker (``gld→local``): Proposition 3
+with a single part needs no stable column and no final distinct, so the
+hand-off is a pass of one part, hashed on no column.
 
-Both P_plw and the hand-off end in :func:`_run_local`: the hand-off is a
-P_plw pass over one part, whose local term reads no seeds.
+A pass (:func:`_run_pass`) has Spark evaluate only its *inputs*, the
+maximal shuffle-free subterms of every fixpoint's φ and seeds
+(:func:`split_inputs`), and checks them against the broadcast budget
+before anything is collected: from Catalyst's row counts when every
+input has an upper bound there (:func:`_row_bound`), else by counting
+them in one job. If they fit, they are collected and broadcast, and each
+of n tasks evaluates the first fixpoint's seeds R and keeps its own hash
+class of them (:func:`_run_local`): no Spark join, count or shuffle
+builds the seeds. The budget bounds what is collected, not what the
+tasks build: each of the n tasks builds all of R and φ's constants, n×
+their CPU. If they do not fit, nothing is collected: P_plw builds
+φ's constants and the seeds in Spark and repartitions the seeds
+(:func:`_run_plw`), and the hand-off runs the distributed loop
+(``gld(broadcast-fallback)``), both over the inputs already built.
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -151,16 +152,11 @@ def execute_fixpoint(
     stable = _stable_columns(fix, schemas)
     strategy = cfg.strategy
     if strategy == "auto":
-        if not stable:
-            return _hand_off(fix, env, spark, cfg)
-        strategy = "plw_s"
-    if strategy != "gld" and stable:
-        # P_plw's local engines deduplicate their seeds.
-        levels, seeds, cenv, terms = _bind_constants(
-            _chain(fix, stable, schemas)[0], env, spark, cfg, distinct=False
-        )
-        return _run_plw(levels, seeds, cenv, terms, spark, cfg, strategy)
-    (level,), seeds, cenv, _ = _bind_constants([(fix, None, [])], env, spark, cfg)
+        strategy = "plw_s" if stable else "gld→local"
+    if strategy == "gld→local" or (strategy != "gld" and stable):
+        return _run_pass(_chain(fix, stable, schemas)[0], env, spark, cfg, strategy)
+    levels, _ = _chain(fix, frozenset(), schemas)
+    (level,), seeds, cenv, _ = _bind_constants(levels, env, spark, cfg)
     # Forced P_plw without a stable column would lose the disjointness
     # guarantee; the paper never does this — fall back to P_gld.
     cfg.chosen.append("gld" if strategy == "gld" else "gld(no-stable-column)")
@@ -178,31 +174,37 @@ def _nested(t: Term) -> list[Fix]:
     return [t] if isinstance(t, Fix) else [f for c in children(t) for f in _nested(c)]
 
 
-_Chain = list[tuple[Fix, Term | None, list[str]]]
+class _Level(NamedTuple):
+    """One fixpoint of a pass (or of P_gld)."""
+
+    var: str
+    phi: Term
+    seeds: Term  # the first fixpoint's R; a chained one's S, reading ``var``
+    stable: list[str]
 
 
 def _chain(
     fix: Fix, stable: frozenset[str], schemas: Mapping[str, frozenset[str]]
-) -> tuple[_Chain, list[str]]:
+) -> tuple[list[_Level], list[str]]:
     """The fixpoints that one P_plw pass ending with ``fix`` runs in the
-    partitions of the first one's seeds, and the columns of ``fix`` that
-    those partitions are hashed on.
+    parts of the first one's seeds, and the columns of ``fix`` that those
+    parts are hashed on.
 
-    Each fixpoint comes with its stable columns and, after the first, with
-    its seeds S, which read the fixpoint before it as its own variable.
-    ``fix`` chains onto a nested fixpoint Y when Y is the one maximal
-    fixpoint of its seeds and would run P_plw itself; S is linear and
-    positive in Y (so Y is not joined with itself) and reads it in every
-    ∪ branch; and each column that Y's partitions are hashed on is the
-    provenance of a stable column of ``fix``. Then S(Y) is the union of S
-    over Y's parts (Proposition 1), and the part of ``fix`` grown from one
-    part of Y keeps that part's hashed values in those stable columns, so
-    the parts stay disjoint (Proposition 3 and stability). Otherwise
-    ``fix`` runs alone, hashed on its stable columns.
+    After the first, each fixpoint's seeds S read the fixpoint before it
+    as its own variable. ``fix`` chains onto a nested fixpoint Y when Y is
+    the one maximal fixpoint of its seeds and would run P_plw itself; S
+    is linear and positive in Y (so Y is not joined with itself) and
+    reads it in every ∪ branch; and each column that Y's parts are hashed
+    on is the provenance of a stable column of ``fix``. Then S(Y) is the
+    union of S over Y's parts (Proposition 1), and the part of ``fix``
+    grown from one part of Y keeps that part's hashed values in those
+    stable columns, so the parts stay disjoint (Proposition 3 and
+    stability). Otherwise ``fix`` runs alone, hashed on its stable
+    columns (on none if it has none: P_gld).
     """
-    const, _ = constant_variable_split(fix)
+    const, phi = constant_variable_split(fix)
     nested = set(_nested(const))
-    if len(nested) == 1:
+    if stable and len(nested) == 1:
         (y,) = nested
         s = _replace(const, {y: Var(fix.var)})
         y_stable = _stable_columns(y, schemas)
@@ -211,8 +213,8 @@ def _chain(
             prov = provenance(s, fix.var, schemas, schema(y, schemas))
             part = [next((c for c in sorted(stable) if prov[c] == p), None) for p in y_part]
             if None not in part:
-                return [*chain, (fix, s, sorted(stable))], part
-    return [(fix, None, sorted(stable))], sorted(stable)
+                return [*chain, _Level(fix.var, phi, s, sorted(stable))], part
+    return [_Level(fix.var, phi, const, sorted(stable))], sorted(stable)
 
 
 def _replace(t: Term, reads: Mapping[Term, Term]) -> Term:
@@ -223,45 +225,38 @@ def _replace(t: Term, reads: Mapping[Term, Term]) -> Term:
     return t if isinstance(t, Fix) else map_children(t, lambda c: _replace(c, reads))
 
 
-class _Level(NamedTuple):
-    """One fixpoint of a P_plw pass (or of P_gld), over the relations
-    that :func:`_bind_constants` binds."""
-
-    var: str
-    phi: Term
-    seeds: Term  # the first fixpoint's R; a chained one's S, reading ``var``
-    stable: list[str]
-
-
 def _bind_constants(
-    chain: _Chain,
+    levels: list[_Level],
     env: Mapping[str, DataFrame],
     spark: SparkSession,
     cfg: FixConfig,
     distinct: bool = True,
 ) -> tuple[list[_Level], DataFrame, dict[str, DataFrame], dict[str, Term]]:
-    """Each fixpoint of ``chain`` over its constant relations, the seeds
+    """Each fixpoint of ``levels`` over its constant relations, the seeds
     of the first, ``env`` with those relations bound, and the term over
     ``env`` of each relation.
 
     The constants of each φ, and of each chained fixpoint's seeds, are
     extracted under the fixpoint's own prefix. Those that differ only in
     their outer renames share one relation, their core, evaluated once at
-    its first use; a constant reads it with the renames re-applied, and a
-    core that is a bare relation is read as it is. The first fixpoint's
-    seeds are evaluated with every subterm equal to a core read from it.
-    They are a set unless ``distinct`` is false: then their outermost ∪
-    and π̃ keep duplicates.
+    its first use and checkpointed. The checkpoint is not lazy: under
+    adaptive execution, ``localCheckpoint(eager=False)`` runs the shuffle
+    stages of a plan with an exchange (a join, say) when it is called, a
+    job each, and leaves only the final stage to the first action. A
+    constant reads its core with the renames re-applied, and a core that
+    is a bare relation is read as it is. The first fixpoint's seeds are
+    evaluated with every subterm equal to a core read from it. They are
+    a set unless ``distinct`` is false: then their outermost ∪ and π̃
+    keep duplicates.
     """
     cenv, cores = dict(env), {}
-    levels = []
-    for fix, s, stable in reversed(chain):  # outermost first, as fixpoints nest
-        const, phi = constant_variable_split(fix)
-        if s is None:
-            phi, consts = extract_constants(phi, fix.var, cfg.fresh())
+    bound: list[_Level] = []
+    for i, level in reversed(list(enumerate(levels))):  # outermost first, as fixpoints nest
+        if i:
+            both, consts = extract_constants(Union_(level.seeds, level.phi), level.var, cfg.fresh())
+            seeds, phi = both.left, both.right
         else:
-            both, consts = extract_constants(Union_(s, phi), fix.var, cfg.fresh())
-            s, phi = both.left, both.right
+            seeds, (phi, consts) = level.seeds, extract_constants(level.phi, level.var, cfg.fresh())
         reads = {}
         for name, t in consts.items():
             core, renames = _peel(t)
@@ -270,15 +265,15 @@ def _bind_constants(
                 cenv[name] = eval_spark(core, env, spark, cfg).localCheckpoint(eager=False)
             base = core.name if isinstance(core, Rel) else cores[core]
             reads[Rel(name)] = _read(base, renames)
-        seeds = const if s is None else _replace(s, reads)
-        levels.insert(0, _Level(fix.var, _replace(phi, reads), seeds, stable))
-    seeds = _replace(levels[0].seeds, {core: Rel(name) for core, name in cores.items()})
+        seeds = _replace(seeds, reads) if i else seeds
+        bound.insert(0, level._replace(phi=_replace(phi, reads), seeds=seeds))
+    seeds = _replace(bound[0].seeds, {core: Rel(name) for core, name in cores.items()})
     terms = {name: core for core, name in cores.items()}
-    return levels, eval_spark(seeds, cenv, spark, cfg, distinct), cenv, terms
+    return bound, eval_spark(seeds, cenv, spark, cfg, distinct), cenv, terms
 
 
 # ---------------------------------------------------------------------------
-# The P_gld hand-off: the whole fixpoint on one worker
+# A pass: the inputs, the broadcast budget and the two tiers
 # ---------------------------------------------------------------------------
 
 
@@ -292,10 +287,10 @@ def _is_input(t: Term) -> bool:
     return isinstance(t, (Rel, Fix))
 
 
-def split_inputs(fix: Fix, prefix: str) -> tuple[Fix, dict[str, Term]]:
-    """``fix`` with each of its inputs, its maximal shuffle-free subterms,
-    replaced by a read of a relation named ``prefix`` and a number, and
-    the slice of each name.
+def split_inputs(terms: list[Term], prefix: str) -> tuple[list[Term], dict[str, Term]]:
+    """``terms`` with each of their inputs, their maximal shuffle-free
+    subterms, replaced by a read of a relation named ``prefix`` and a
+    number, and the slice of each name.
 
     Inputs that differ only in their outer renames are one relation slice
     under one name; the read re-applies the renames.
@@ -308,8 +303,7 @@ def split_inputs(fix: Fix, prefix: str) -> tuple[Fix, dict[str, Term]]:
         core, renames = _peel(t)
         return _read(slices.setdefault(core, f"{prefix}{len(slices)}"), renames)
 
-    local = Fix(fix.var, rec(fix.body))
-    return local, {name: core for core, name in slices.items()}
+    return [rec(t) for t in terms], {name: core for core, name in slices.items()}
 
 
 def _leaf_rows(df: DataFrame) -> int | None:
@@ -382,32 +376,52 @@ def _over_budget(
     return (rows[0][0] or 0) > budget
 
 
-def _hand_off(
-    fix: Fix, env: Mapping[str, DataFrame], spark: SparkSession, cfg: FixConfig
+def _run_pass(
+    levels: list[_Level],
+    env: Mapping[str, DataFrame],
+    spark: SparkSession,
+    cfg: FixConfig,
+    engine: str,
 ) -> DataFrame:
-    """P_gld as one local loop on one worker, when the fixpoint's inputs
-    fit the broadcast budget; else the distributed P_gld loop.
+    """Run the fixpoints of ``levels`` in one pass of local loops, labelled
+    ``engine``: ``plw_s`` or ``plw_pg``, hashed on the first one's stable
+    columns, or ``gld→local``, one part hashed on none.
 
-    Spark evaluates the inputs only (a nested fixpoint through the
-    planner, checkpointed so that counting and collecting run it once)
-    and checks them against the budget before anything is collected, so
-    a fallback collects nothing. The fallback reads the same input
-    DataFrames, so no nested fixpoint is planned twice.
+    Spark evaluates the inputs of every fixpoint's φ and seeds only (a
+    nested fixpoint through the planner, checkpointed so that counting
+    and collecting run it once; its plan has no exchange when it ran as a
+    pass), and checks them against the broadcast budget before anything
+    is collected. If they fit, they are broadcast to n tasks, and each
+    builds the first seeds and its part of them (:func:`_run_local`).
+    Else nothing is collected, and the pass runs over the same input
+    frames, so no nested fixpoint is planned twice: P_plw with φ's
+    constants and the seeds from Spark (:func:`_run_plw`), and the
+    hand-off as the distributed loop.
     """
-    local, slices = split_inputs(fix, cfg.fresh())
+    terms, slices = split_inputs([t for lv in levels for t in (lv.seeds, lv.phi)], cfg.fresh())
+    split = [lv._replace(seeds=s, phi=p) for lv, s, p in zip(levels, terms[::2], terms[1::2])]
     dfs = {}
     for name, core in slices.items():
         df = eval_spark(core, env, spark, cfg)
         if any(isinstance(s, Fix) for s in walk(core)):
             df = df.localCheckpoint(eager=False)
         dfs[name] = df
-    if _over_budget(dfs, slices, env, _copies(local), cfg):
+    if not _over_budget(dfs, slices, env, _copies(*terms), cfg):
+        cfg.chosen.extend([engine] * len(levels))
+        hashed = split[0].stable
+        n = (cfg.num_partitions or spark.sparkContext.defaultParallelism) if hashed else 1
+        evaluate = eval_duckdb if engine == "plw_pg" else eval_pandas
+        return _run_local(_local_term(split), dfs, split[0].seeds, spark, cfg, evaluate, hashed, n)
+    if not levels[0].stable:
         cfg.chosen.append("gld(broadcast-fallback)")
-        (level,), seeds, cenv, _ = _bind_constants([(local, None, [])], {**env, **dfs}, spark, cfg)
-        return _run_gld(level.phi, fix.var, seeds, cenv, spark, cfg)
-    cfg.chosen.append("gld→local")
-    # One task, started by one row that the local term does not read.
-    return _run_local(local, dfs, spark.range(0, 1, 1, 1), spark, cfg, eval_pandas)
+        (level,), seeds, cenv, _ = _bind_constants(split, {**env, **dfs}, spark, cfg)
+        return _run_gld(level.phi, level.var, seeds, cenv, spark, cfg)
+    # P_plw's local engines deduplicate their seeds.
+    bound, seeds, cenv, cores = _bind_constants(split, {**env, **dfs}, spark, cfg, distinct=False)
+    # The row bound of each relation comes from its term over ``env``.
+    reads = {Rel(name): core for name, core in slices.items()}
+    rel_terms = {**slices, **{name: _replace(t, reads) for name, t in cores.items()}}
+    return _run_plw(bound, seeds, cenv, rel_terms, spark, cfg, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +488,9 @@ def _local_term(levels: list[_Level]) -> Fix:
     return t
 
 
-def _copies(t: Term) -> Counter[str]:
-    """For each relation that ``t`` reads, the number of renamings it is
-    read under."""
+def _copies(*ts: Term) -> Counter[str]:
+    """For each relation that the terms ``ts`` read, the number of
+    renamings it is read under."""
     reads = set()
 
     def rec(u: Term) -> None:
@@ -487,7 +501,8 @@ def _copies(t: Term) -> Counter[str]:
             for c in children(core):
                 rec(c)
 
-    rec(t)
+    for t in ts:
+        rec(t)
     return Counter(_peel(u)[0].name for u in reads)
 
 
@@ -531,23 +546,39 @@ def _run_plw(
     # Hash-repartition the constant part by the stable column(s):
     # Proposition 3 + stability ⇒ partition-local fixpoints are disjoint.
     seeds = seeds.repartition(n, *levels[0].stable)
-    evaluate = eval_pandas if engine == "plw_s" else eval_duckdb
+    evaluate = eval_duckdb if engine == "plw_pg" else eval_pandas
     return _run_local(local, rels, seeds, spark, cfg, evaluate)
+
+
+def _hash_parts(rows: pd.DataFrame, cols: Sequence[str], n: int) -> pd.Series:
+    """The part, of ``n``, of each row: its ``cols`` under pandas' keyed
+    hash, which, unlike Python's ``hash`` of a string, is the same in
+    every process."""
+    return pd.util.hash_pandas_object(rows[list(cols)], index=False) % n
 
 
 def _run_local(
     local: Fix,
     rels: Mapping[str, DataFrame],
-    seeds: DataFrame,
+    seeds: DataFrame | Term,
     spark: SparkSession,
     cfg: FixConfig,
     evaluate: Callable[..., pd.DataFrame],
+    hashed: Sequence[str] = (),
+    n: int = 1,
 ) -> DataFrame:
-    """``local`` evaluated by ``evaluate`` in each non-empty partition of
-    ``seeds``, which it reads as ``__seeds``, with the relations ``rels``
-    collected and broadcast."""
+    """``local`` evaluated by ``evaluate`` once per part of its seeds,
+    which it reads as ``__seeds``, with the relations ``rels`` collected
+    and broadcast. The parts are the non-empty partitions of the
+    DataFrame ``seeds``; or, for a term ``seeds`` over ``rels``, task p of
+    n evaluates it and keeps the rows whose ``hashed`` columns hash to p
+    (:func:`_hash_parts`)."""
     # Each output column has the type and nullability of the input one.
-    fields = {name: {f.name: f for f in df.schema} for name, df in {**rels, _SEEDS: seeds}.items()}
+    fields = {name: {f.name: f for f in df.schema} for name, df in rels.items()}
+    if isinstance(seeds, DataFrame):
+        fields[_SEEDS], partitions, term = {f.name: f for f in seeds.schema}, seeds, None
+    else:
+        fields[_SEEDS], partitions, term = columns(seeds, fields), spark.range(0, n, 1, n), seeds
     cols = columns(local, fields)
     out = StructType([StructField(c, f.dataType, f.nullable) for c, f in cols.items()])
     bc = spark.sparkContext.broadcast({name: df.toPandas() for name, df in rels.items()})
@@ -558,8 +589,11 @@ def _run_local(
         if not parts:
             return
         part = pd.concat(parts, ignore_index=True)
+        if term is not None:  # the partition holds its task's number
+            rows = evaluate(term, bc.value, row_cap)
+            part = rows if n == 1 else rows[_hash_parts(rows, hashed, n) == part["id"].iat[0]]
         if part.empty:
             return
         yield evaluate(local, {**bc.value, _SEEDS: part}, row_cap)[out.names]
 
-    return seeds.mapInPandas(run_partition, schema=out)
+    return partitions.mapInPandas(run_partition, schema=out)

@@ -175,16 +175,33 @@ def test_closure_over_range_built_edges(spark, strategy):
     assert got == sorted(want)
 
 
-def test_plw_collects_bounded_constants_without_counting(spark, small_triples):
-    # φ's one constant, ρ(σ[label=b](G)), is bounded by the rows of G,
-    # built from pandas: building the plan collects it in one job and
-    # counts nothing.
+def test_plw_collects_bounded_inputs_without_counting(spark, small_triples):
+    # The inputs, ρ(σ[label=a](G)) and ρ(σ[label=b](G)), are bounded by
+    # the rows of G, built from pandas, and fit the budget: building the
+    # plan collects each in one job and counts nothing. The tasks build
+    # the seeds, so the action shuffles nothing.
     fix = Fix("X", Union_(atom("a"), compose(Var("X"), atom("b"))))
     env = {"G": spark.createDataFrame(small_triples)}
     cfg = FixConfig(strategy="plw_s")
     got, build, _ = build_and_run(spark, "plw", fix, env, cfg)
     assert cfg.chosen == ["plw_s"]
-    assert len(build) == 1
+    assert len(build) == 2
+    want = eval_pandas(fix, {"G": small_triples})
+    assert len(want) > 0
+    assert pairs(got) == pairs(want)
+
+
+def test_plw_collects_bounded_constants_without_counting(spark, small_triples):
+    # The seeds, π̃(G), and φ's one constant, ρ(σ[label=b](G)), overrun a
+    # budget of |G| together, as one job counts; the constant, bounded by
+    # the rows of G, fits it. Building the plan collects the constant in
+    # one more job and does not count it.
+    fix = Fix("X", Union_(AntiProject(("label",), Rel("G")), compose(Var("X"), atom("b"))))
+    env = {"G": spark.createDataFrame(small_triples)}
+    cfg = FixConfig(strategy="plw_s", broadcast_rows=len(small_triples))
+    got, build, _ = build_and_run(spark, "plw-constants", fix, env, cfg)
+    assert cfg.chosen == ["plw_s"]
+    assert len(build) == 2
     want = eval_pandas(fix, {"G": small_triples})
     assert len(want) > 0
     assert pairs(got) == pairs(want)
@@ -352,12 +369,26 @@ def dup_tc():
 
 
 @pytest.mark.parametrize("strategy", ["plw_s", "plw_pg"])
-def test_plw_seeds_shuffle_once(spark, fig2_e, fig2_s, strategy):
-    """The local engines deduplicate P_plw's seeds, so the seeds' outermost
-    π̃ and ∪ keep duplicates: the repartition by the stable column is the
-    one Exchange below the MapInPandas."""
+def test_plw_seeds_shuffle_nowhere_when_inputs_fit(spark, fig2_e, fig2_s, strategy):
+    """The inputs T, S and E fit the budget: the tasks build the seeds,
+    and no Exchange is below the MapInPandas."""
     _, env = dup_seeds_env(spark, fig2_e, fig2_s)
     cfg = FixConfig(strategy=strategy)
+    out = eval_spark(dup_tc(), env, spark, cfg)
+    assert cfg.chosen == [strategy]
+    below = out._jdf.queryExecution().executedPlan().toString().split("MapInPandas", 1)[1]
+    assert "Exchange" not in below
+    assert pairs(out.toPandas()) == FIG2_FIXPOINT
+
+
+@pytest.mark.parametrize("strategy", ["plw_s", "plw_pg"])
+def test_plw_seeds_shuffle_once(spark, fig2_e, fig2_s, strategy):
+    """The inputs overrun a budget of |E|, which φ's one constant, E,
+    fits. The local engines deduplicate P_plw's seeds, so the seeds'
+    outermost π̃ and ∪ keep duplicates: the repartition by the stable
+    column is the one Exchange below the MapInPandas."""
+    _, env = dup_seeds_env(spark, fig2_e, fig2_s)
+    cfg = FixConfig(strategy=strategy, broadcast_rows=len(fig2_e))
     out = eval_spark(dup_tc(), env, spark, cfg)
     assert cfg.chosen == [strategy]
     below = out._jdf.queryExecution().executedPlan().toString().split("MapInPandas", 1)[1]
@@ -526,27 +557,27 @@ def atom(label):
 
 
 class TestSplitInputs:
-    """The inputs of a handed-off fixpoint: its maximal subterms that
-    Spark evaluates without a shuffle."""
+    """The inputs of a pass: the maximal subterms of its terms that Spark
+    evaluates without a shuffle."""
 
     def test_renamed_copies_share_a_slice_and_count_separately(self):
-        local, slices = split_inputs(merged_fix(), "__in_")
+        (body,), slices = split_inputs([merged_fix().body], "__in_")
         assert slices == {"__in_0": Rel("E")}
-        assert _copies(local) == {"__in_0": 4}
-        assert free_rels(local) == {"__in_0"}
+        assert _copies(body) == {"__in_0": 4}
+        assert free_rels(body) == {"__in_0"}
 
     def test_pinned_antiprojection_is_part_of_an_input(self):
-        local, slices = split_inputs(labelled_merged_fix(), "__in_")
+        (body,), slices = split_inputs([labelled_merged_fix().body], "__in_")
         assert slices == {"__in_0": atom("a"), "__in_1": atom("b")}
-        assert _copies(local) == {"__in_0": 2, "__in_1": 2}
+        assert _copies(body) == {"__in_0": 2, "__in_1": 2}
         # A π̃ over a column that is not pinned needs a distinct: the
         # input stops below it.
         fix = Fix("X", Union_(AntiProject(("label",), Rel("G")), compose(Var("X"), Rel("E"))))
-        _, slices = split_inputs(fix, "__in_")
+        _, slices = split_inputs([fix.body], "__in_")
         assert set(slices.values()) == {Rel("G"), Rel("E")}
 
     def test_nested_fixpoint_is_an_input(self):
-        _, slices = split_inputs(nested_merged_fix(), "__in_")
+        _, slices = split_inputs([nested_merged_fix().body], "__in_")
         assert right_tc() in slices.values()
 
 
