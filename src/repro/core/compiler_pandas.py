@@ -485,17 +485,22 @@ def _compile(
 
 
 def eval_pandas(
-    term: Term, env: Mapping[str, pd.DataFrame], row_cap: int | None = None
+    term: Term,
+    env: Mapping[str, pd.DataFrame],
+    row_cap: int | None = None,
+    distinct: bool = True,
 ) -> pd.DataFrame:
     """Evaluate ``term``; ``env`` binds relation names *and* any free
     recursion variables to frames. The result is deduplicated (a
-    fixpoint's already is).
+    fixpoint's already is), unless ``distinct`` is false: then a π̃ at the
+    top (under σ and ρ only) keeps its duplicates, and the rows of a σ, ρ
+    and π̃ chain over a relation keep that relation's order.
 
     A fixpoint (nested ones too) whose X grows past ``row_cap`` rows
     raises :class:`CapacityError`; ``None`` means no cap.
     """
-    out = _compile(term, None, env, row_cap)
-    return frame(out if isinstance(term, Fix) else dedup(out))
+    out = _compile(term, None, env, row_cap, bag=not distinct)
+    return frame(out if isinstance(term, Fix) or not distinct else dedup(out))
 
 
 def _high(seeds: Cols, sources: list[Cols]) -> int | None:

@@ -6,7 +6,9 @@ so Catalyst optimizes it. The paper translates it "directly into Spark
 operations using the Dataset API" (§IV); Spark SQL reaches the same
 optimizer (DESIGN.md §4). Fixpoints are dispatched to the physical plans
 in :mod:`repro.core.plans` (P_gld / P_plw^s / P_plw^pg), and the query
-reads their results as relations.
+reads their results as relations. :func:`filter_any` keeps the rows of
+a frame that meet any of several σ conditions in one scan, so that a
+pass collects the slices it reads of one relation in one job.
 """
 from __future__ import annotations
 
@@ -17,9 +19,22 @@ from typing import Iterator, Mapping, TypeVar
 
 from pyspark.sql import DataFrame, SparkSession
 
-from .compiler_sql import to_sql
+from .compiler_sql import cond_sql, to_sql
 from .fcond import constant_variable_split
-from .terms import AntiJoin, AntiProject, Fix, Join, Rel, Rename, Term, Var, children, map_children
+from .terms import (
+    AntiJoin,
+    AntiProject,
+    Cond,
+    Fix,
+    Join,
+    Rel,
+    Rename,
+    Term,
+    Value,
+    Var,
+    children,
+    map_children,
+)
 
 V = TypeVar("V")
 
@@ -104,17 +119,14 @@ def eval_spark(
     Each maximal fixpoint runs through the physical plans. A bare relation
     or fixpoint is returned as its DataFrame; anything else is one
     ``spark.sql`` query over the DataFrames it reads, each bound to a
-    temporary view of its own for that call only. The views are dropped
-    through the session catalog, which leaves a cached frame cached:
-    PySpark's ``catalog.dropTempView`` (and so ``spark.sql(**frames)``)
-    uncaches the view's plan.
+    temporary view of its own for that call only (:func:`_sql`).
     """
     cfg = cfg or FixConfig()
     frames: dict[str, DataFrame] = {}
     reads: dict[str, Rel] = {}
 
     def read(df: DataFrame) -> Rel:
-        name = f"_repro_{uuid.uuid4().hex}"
+        name = _view()
         frames[name] = df
         return Rel(name)
 
@@ -138,12 +150,43 @@ def eval_spark(
     sql, params = to_sql(query, inputs, marker=":", distinct=distinct)
     # to_sql sorts its columns; callers read them in DataFrame-API order.
     order = ", ".join(columns(query, {n: dict.fromkeys(cs) for n, cs in inputs.items()}))
+    return _sql(spark, f"SELECT {order} FROM ({sql})", params, frames)
+
+
+def filter_any(df: DataFrame, conjunctions: list[list[Cond]], spark: SparkSession) -> DataFrame:
+    """The rows of ``df`` that meet every condition of at least one of
+    ``conjunctions``, with all of ``df``'s columns: one filtered scan,
+    written as one ``spark.sql`` query with each constant bound as a
+    parameter. ``df`` itself if a conjunction is empty."""
+    if not all(conjunctions):
+        return df
+    params: dict[str, Value] = {}
+    # Equal conjunctions, written once.
+    ors = [" AND ".join(cond_sql(c, params, ":") for c in cs)
+           for cs in dict.fromkeys(map(tuple, conjunctions))]
+    name = _view()
+    return _sql(spark, f"SELECT * FROM {name} WHERE " + " OR ".join(f"({w})" for w in ors),
+                params, {name: df})
+
+
+def _view() -> str:
+    return f"_repro_{uuid.uuid4().hex}"
+
+
+def _sql(
+    spark: SparkSession, sql: str, params: dict[str, Value], frames: Mapping[str, DataFrame]
+) -> DataFrame:
+    """``sql`` over ``frames``, each bound to a temporary view of its name
+    for this call only. The views are dropped through the session
+    catalog, which leaves a cached frame cached: PySpark's
+    ``catalog.dropTempView`` (and so ``spark.sql(**frames)``) uncaches the
+    view's plan."""
     catalog = spark._jsparkSession.sessionState().catalog()
     try:
         for name, df in frames.items():
             df.createOrReplaceTempView(name)
         # The query is analyzed here, so it no longer needs its views.
-        return spark.sql(f"SELECT {order} FROM ({sql})", args=params)
+        return spark.sql(sql, args=params)
     finally:
         for name in frames:
             catalog.dropTempView(name)

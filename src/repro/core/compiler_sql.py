@@ -28,6 +28,7 @@ from .fcond import check_fcond, check_rows, constant_variable_split, row_limit
 from .terms import (
     AntiJoin,
     AntiProject,
+    Cond,
     EqConst,
     Filter,
     Fix,
@@ -114,12 +115,7 @@ def to_sql(
             return f"SELECT {cols} FROM ({rec(t.left)}) AS {a} WHERE {cond}"
         if isinstance(t, Filter):
             cols = ", ".join(sorted(sch(t.child)))
-            if isinstance(t.cond, EqConst):
-                name = f"p{len(params)}"
-                params[name] = t.cond.value
-                w = f"{t.cond.col} = {marker}{name}"
-            else:
-                w = f"{t.cond.col1} = {t.cond.col2}"
+            w = cond_sql(t.cond, params, marker)
             return f"SELECT {cols} FROM ({rec(t.child, bag)}) AS {a} WHERE {w}"
         if isinstance(t, AntiProject):
             keep = ", ".join(sorted(sch(t.child) - set(t.cols)))
@@ -140,6 +136,16 @@ def to_sql(
         raise TypeError(f"not a μ-RA term: {t!r}")
 
     return rec(t, not distinct), params
+
+
+def cond_sql(cond: Cond, params: dict[str, Value], marker: str) -> str:
+    """σ condition ``cond`` as SQL text; a constant is added to ``params``
+    under a new name, and the text reads it as ``marker`` and that name."""
+    if isinstance(cond, EqConst):
+        name = f"p{len(params)}"
+        params[name] = cond.value
+        return f"{cond.col} = {marker}{name}"
+    return f"{cond.col1} = {cond.col2}"
 
 
 class DuckdbEvaluator:

@@ -41,15 +41,18 @@ maximal shuffle-free subterms of every fixpoint's φ and seeds
 (:func:`split_inputs`), and checks them against the broadcast budget
 before anything is collected: from Catalyst's row counts when every
 input has an upper bound there (:func:`_row_bound`), else by counting
-them in one job. If they fit, they are collected and broadcast, and each
-of n tasks evaluates the first fixpoint's seeds R and keeps its own hash
-class of them (:func:`_run_local`): no Spark join, count or shuffle
-builds the seeds. The budget bounds what is collected, not what the
-tasks build: each of the n tasks builds all of R and φ's constants, n×
-their CPU. If they do not fit, nothing is collected: P_plw builds
-φ's constants and the seeds in Spark and repartitions the seeds
-(:func:`_run_plw`), and the hand-off runs the distributed loop
-(``gld(broadcast-fallback)``), both over the inputs already built.
+them in one job. If they fit, they are collected and broadcast: the
+slices of one base relation in one job, a scan filtered by the
+disjunction of their σ conditions, from which the driver cuts each slice
+(:func:`_collect`), and a nested fixpoint in its own. Each of n tasks
+then evaluates the first fixpoint's seeds R and keeps its own hash class
+of them (:func:`_run_local`): no Spark join, count or shuffle builds the
+seeds. The budget bounds what is collected, not what the tasks build:
+each of the n tasks builds all of R and φ's constants, n× their CPU. If
+they do not fit, nothing is collected: P_plw builds φ's constants and
+the seeds in Spark and repartitions the seeds (:func:`_run_plw`), and
+the hand-off runs the distributed loop (``gld(broadcast-fallback)``),
+both over the input frames.
 """
 from __future__ import annotations
 
@@ -59,17 +62,19 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import StructField, StructType
 
 from .compiler_pandas import eval_pandas
-from .compiler_spark import FixConfig, columns, eval_spark
+from .compiler_spark import FixConfig, columns, eval_spark, filter_any
 from .compiler_sql import eval_duckdb
 from .fcond import check_fcond, constant_variable_split, is_linear, semi_naive
 from .stabilizer import provenance, stable_columns
 from .terms import (
     AntiJoin,
     AntiProject,
+    Cond,
+    EqConst,
+    EqCol,
     Filter,
     Fix,
     Join,
@@ -84,7 +89,6 @@ from .terms import (
     pinned,
     schema,
     subst,
-    walk,
 )
 
 _CONST_PREFIX = "__bc_"
@@ -354,25 +358,27 @@ def _row_bound(t: Term, env: Mapping[str, DataFrame]) -> int | None:
 
 
 def _over_budget(
-    dfs: Mapping[str, DataFrame],
+    frame: Callable[[str], DataFrame],
     terms: Mapping[str, Term],
     env: Mapping[str, DataFrame],
     copies: Counter[str],
     cfg: FixConfig,
 ) -> bool:
-    """Whether Σ copies × rows over the relations ``dfs`` exceeds the
-    broadcast budget (``broadcast_rows``, and ``row_cap`` if lower).
+    """Whether Σ copies × rows over the relations ``copies`` names exceeds
+    the broadcast budget (``broadcast_rows``, and ``row_cap`` if lower).
 
     ``terms`` gives each relation's term over ``env``. If all of them have
-    a row bound (:func:`_row_bound`) and the bounds fit, no job runs.
-    Otherwise one Spark job counts the relations: one task reads them
-    all, so adding the counts up needs no shuffle."""
+    a row bound (:func:`_row_bound`) and the bounds fit, no job runs and
+    ``frame`` is not called. Otherwise one Spark job counts the relations,
+    each ``frame(name)``: one task reads them all, so adding the counts
+    up needs no shuffle. The job is written without Column objects: the
+    first one a process builds imports IPython to record its call site."""
     budget = cfg.broadcast_rows if cfg.row_cap is None else min(cfg.row_cap, cfg.broadcast_rows)
     bounds = [_row_bound(terms[name], env) for name in copies]
     if None not in bounds and sum(n * b for n, b in zip(copies.values(), bounds)) <= budget:
         return False
-    weighted = [dfs[name].select(F.lit(n).alias("w")) for name, n in copies.items()]
-    rows = reduce(DataFrame.unionAll, weighted).coalesce(1).agg(F.sum("w")).collect()
+    weighted = [frame(name).selectExpr(f"{n} AS w") for name, n in copies.items()]
+    rows = reduce(DataFrame.unionAll, weighted).coalesce(1).agg({"w": "sum"}).collect()
     return (rows[0][0] or 0) > budget
 
 
@@ -391,37 +397,110 @@ def _run_pass(
     nested fixpoint through the planner, checkpointed so that counting
     and collecting run it once; its plan has no exchange when it ran as a
     pass), and checks them against the broadcast budget before anything
-    is collected. If they fit, they are broadcast to n tasks, and each
-    builds the first seeds and its part of them (:func:`_run_local`).
-    Else nothing is collected, and the pass runs over the same input
-    frames, so no nested fixpoint is planned twice: P_plw with φ's
-    constants and the seeds from Spark (:func:`_run_plw`), and the
+    is collected. If they fit, they are collected, one job per base
+    relation and one per nested fixpoint (:func:`_collect`), and
+    broadcast to n tasks, each of which builds the first seeds and its
+    part of them (:func:`_run_local`). A slice of a base relation gets a
+    DataFrame of its own only if the check counts it or the pass runs
+    over the budget. Then nothing is collected, and the pass runs over
+    the input frames, so no nested fixpoint is planned twice: P_plw with
+    φ's constants and the seeds from Spark (:func:`_run_plw`), and the
     hand-off as the distributed loop.
     """
     terms, slices = split_inputs([t for lv in levels for t in (lv.seeds, lv.phi)], cfg.fresh())
     split = [lv._replace(seeds=s, phi=p) for lv, s, p in zip(levels, terms[::2], terms[1::2])]
-    dfs = {}
-    for name, core in slices.items():
-        df = eval_spark(core, env, spark, cfg)
-        if any(isinstance(s, Fix) for s in walk(core)):
-            df = df.localCheckpoint(eager=False)
-        dfs[name] = df
-    if not _over_budget(dfs, slices, env, _copies(*terms), cfg):
+    # A nested fixpoint is planned now, in the order of the labels; a
+    # slice of a base relation is built in Spark only if it is counted or
+    # the pass runs over the budget.
+    dfs = {
+        name: eval_spark(core, env, spark, cfg).localCheckpoint(eager=False)
+        for name, core in slices.items()
+        if _base(core) is None
+    }
+
+    def frame(name: str) -> DataFrame:
+        if name not in dfs:
+            dfs[name] = eval_spark(slices[name], env, spark, cfg)
+        return dfs[name]
+
+    if not _over_budget(frame, slices, env, _copies(*terms), cfg):
         cfg.chosen.extend([engine] * len(levels))
         hashed = split[0].stable
         n = (cfg.num_partitions or spark.sparkContext.defaultParallelism) if hashed else 1
         evaluate = eval_duckdb if engine == "plw_pg" else eval_pandas
-        return _run_local(_local_term(split), dfs, split[0].seeds, spark, cfg, evaluate, hashed, n)
+        tables, fields = _collect(slices, env, frame, spark)
+        local = _local_term(split)
+        return _run_local(local, tables, fields, split[0].seeds, spark, cfg, evaluate, hashed, n)
+    inputs = {**env, **{name: frame(name) for name in slices}}
     if not levels[0].stable:
         cfg.chosen.append("gld(broadcast-fallback)")
-        (level,), seeds, cenv, _ = _bind_constants(split, {**env, **dfs}, spark, cfg)
+        (level,), seeds, cenv, _ = _bind_constants(split, inputs, spark, cfg)
         return _run_gld(level.phi, level.var, seeds, cenv, spark, cfg)
     # P_plw's local engines deduplicate their seeds.
-    bound, seeds, cenv, cores = _bind_constants(split, {**env, **dfs}, spark, cfg, distinct=False)
+    bound, seeds, cenv, cores = _bind_constants(split, inputs, spark, cfg, distinct=False)
     # The row bound of each relation comes from its term over ``env``.
     reads = {Rel(name): core for name, core in slices.items()}
     rel_terms = {**slices, **{name: _replace(t, reads) for name, t in cores.items()}}
     return _run_plw(bound, seeds, cenv, rel_terms, spark, cfg, engine)
+
+
+def _base(core: Term) -> tuple[str, list[Cond]] | None:
+    """For a slice over a base relation, that relation and the slice's σ
+    conditions, each over the relation's own columns (mapped back through
+    the ρs below it); None for a slice over a nested fixpoint."""
+    conds: list[Cond] = []
+    while not isinstance(core, (Rel, Fix)):
+        if isinstance(core, Filter):
+            conds.append(core.cond)
+        elif isinstance(core, Rename):
+            back = {core.new: core.old}
+            conds = [
+                EqConst(back.get(c.col, c.col), c.value)
+                if isinstance(c, EqConst)
+                else EqCol(back.get(c.col1, c.col1), back.get(c.col2, c.col2))
+                for c in conds
+            ]
+        core = core.child
+    return (core.name, conds) if isinstance(core, Rel) else None
+
+
+def _fields(df: DataFrame) -> dict[str, StructField]:
+    return {f.name: f for f in df.schema}
+
+
+def _collect(
+    slices: Mapping[str, Term],
+    env: Mapping[str, DataFrame],
+    frame: Callable[[str], DataFrame],
+    spark: SparkSession,
+) -> tuple[dict[str, pd.DataFrame], dict[str, dict[str, StructField]]]:
+    """Each input slice as a pandas frame, and its Spark fields in order.
+
+    The slices of one base relation are collected in one job: one scan
+    keeps the rows that meet the σ conditions of one of them or more
+    (:func:`~repro.core.compiler_spark.filter_any`), and the driver cuts
+    each slice from those rows with :func:`eval_pandas`. A slice drops
+    only pinned columns, which its σs read, so the scan keeps every
+    column of the relation. The rows keep the scan's order, so each
+    frame equals the slice's own ``toPandas()`` (for a column without
+    nulls: a column with nulls in the scan is float where the slice's
+    may be integer). A slice over a nested fixpoint is collected from its
+    checkpoint, ``frame(name)``."""
+    tables, fields = {}, {}
+    scans: dict[str, dict[str, list[Cond]]] = {}  # base → slice → its σ conditions
+    for name, core in slices.items():
+        base = _base(core)
+        if base is None:
+            tables[name], fields[name] = frame(name).toPandas(), _fields(frame(name))
+        else:
+            scans.setdefault(base[0], {})[name] = base[1]
+    for rel, conds in scans.items():
+        rows = filter_any(env[rel], list(conds.values()), spark).toPandas()
+        base_fields = {rel: _fields(env[rel])}
+        for name in conds:
+            tables[name] = eval_pandas(slices[name], {rel: rows}, distinct=False)
+            fields[name] = columns(slices[name], base_fields)
+    return tables, fields
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +610,7 @@ def _run_plw(
     # before anything is collected, so a fallback collects nothing: from
     # the row bounds of their terms, else by counting them in one job.
     bounded = {name: terms.get(name, Rel(name)) for name in rels}
-    if rels and _over_budget(rels, bounded, cenv, copies, cfg):
+    if rels and _over_budget(rels.__getitem__, bounded, cenv, copies, cfg):
         *inner, top = levels
         if not inner:
             cfg.chosen.append("gld(broadcast-fallback)")
@@ -547,7 +626,9 @@ def _run_plw(
     # Proposition 3 + stability ⇒ partition-local fixpoints are disjoint.
     seeds = seeds.repartition(n, *levels[0].stable)
     evaluate = eval_duckdb if engine == "plw_pg" else eval_pandas
-    return _run_local(local, rels, seeds, spark, cfg, evaluate)
+    tables = {name: df.toPandas() for name, df in rels.items()}
+    fields = {name: _fields(df) for name, df in rels.items()}
+    return _run_local(local, tables, fields, seeds, spark, cfg, evaluate)
 
 
 def _hash_parts(rows: pd.DataFrame, cols: Sequence[str], n: int) -> pd.Series:
@@ -559,7 +640,8 @@ def _hash_parts(rows: pd.DataFrame, cols: Sequence[str], n: int) -> pd.Series:
 
 def _run_local(
     local: Fix,
-    rels: Mapping[str, DataFrame],
+    tables: Mapping[str, pd.DataFrame],
+    fields: Mapping[str, Mapping[str, StructField]],
     seeds: DataFrame | Term,
     spark: SparkSession,
     cfg: FixConfig,
@@ -568,20 +650,21 @@ def _run_local(
     n: int = 1,
 ) -> DataFrame:
     """``local`` evaluated by ``evaluate`` once per part of its seeds,
-    which it reads as ``__seeds``, with the relations ``rels`` collected
-    and broadcast. The parts are the non-empty partitions of the
-    DataFrame ``seeds``; or, for a term ``seeds`` over ``rels``, task p of
-    n evaluates it and keeps the rows whose ``hashed`` columns hash to p
+    which it reads as ``__seeds``, with the collected relations ``tables``
+    broadcast; ``fields`` gives each one's Spark fields in order. The
+    parts are the non-empty partitions of the DataFrame ``seeds``; or,
+    for a term ``seeds`` over ``tables``, task p of n evaluates it and
+    keeps the rows whose ``hashed`` columns hash to p
     (:func:`_hash_parts`)."""
     # Each output column has the type and nullability of the input one.
-    fields = {name: {f.name: f for f in df.schema} for name, df in rels.items()}
+    fields = dict(fields)
     if isinstance(seeds, DataFrame):
-        fields[_SEEDS], partitions, term = {f.name: f for f in seeds.schema}, seeds, None
+        fields[_SEEDS], partitions, term = _fields(seeds), seeds, None
     else:
         fields[_SEEDS], partitions, term = columns(seeds, fields), spark.range(0, n, 1, n), seeds
     cols = columns(local, fields)
     out = StructType([StructField(c, f.dataType, f.nullable) for c, f in cols.items()])
-    bc = spark.sparkContext.broadcast({name: df.toPandas() for name, df in rels.items()})
+    bc = spark.sparkContext.broadcast(dict(tables))
     row_cap = cfg.row_cap
 
     def run_partition(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:

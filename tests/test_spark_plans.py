@@ -178,14 +178,14 @@ def test_closure_over_range_built_edges(spark, strategy):
 def test_plw_collects_bounded_inputs_without_counting(spark, small_triples):
     # The inputs, ρ(σ[label=a](G)) and ρ(σ[label=b](G)), are bounded by
     # the rows of G, built from pandas, and fit the budget: building the
-    # plan collects each in one job and counts nothing. The tasks build
-    # the seeds, so the action shuffles nothing.
+    # plan collects both slices of G in one job and counts nothing. The
+    # tasks build the seeds, so the action shuffles nothing.
     fix = Fix("X", Union_(atom("a"), compose(Var("X"), atom("b"))))
     env = {"G": spark.createDataFrame(small_triples)}
     cfg = FixConfig(strategy="plw_s")
     got, build, _ = build_and_run(spark, "plw", fix, env, cfg)
     assert cfg.chosen == ["plw_s"]
-    assert len(build) == 2
+    assert len(build) == 1
     want = eval_pandas(fix, {"G": small_triples})
     assert len(want) > 0
     assert pairs(got) == pairs(want)
