@@ -491,16 +491,29 @@ def eval_pandas(
     distinct: bool = True,
 ) -> pd.DataFrame:
     """Evaluate ``term``; ``env`` binds relation names *and* any free
-    recursion variables to frames. The result is deduplicated (a
-    fixpoint's already is), unless ``distinct`` is false: then a π̃ at the
-    top (under σ and ρ only) keeps its duplicates, and the rows of a σ, ρ
-    and π̃ chain over a relation keep that relation's order.
+    recursion variables to frames. The result is deduplicated (that of a
+    term :func:`_is_set` already is), unless ``distinct`` is false: then a
+    π̃ at the top (under σ and ρ only) keeps its duplicates, and the rows
+    of a σ, ρ and π̃ chain over a relation keep that relation's order.
 
     A fixpoint (nested ones too) whose X grows past ``row_cap`` rows
     raises :class:`CapacityError`; ``None`` means no cap.
     """
     out = _compile(term, None, env, row_cap, bag=not distinct)
-    return frame(out if isinstance(term, Fix) or not distinct else dedup(out))
+    return frame(out if not distinct or _is_set(term) else dedup(out))
+
+
+def _is_set(t: Term) -> bool:
+    """Whether ``t`` evaluates to a set even if the frames it reads hold
+    duplicates: a fixpoint, ∪ and π̃ deduplicate their rows, and σ, ρ, ⋈
+    and ▷ keep sets sets."""
+    if isinstance(t, (Fix, Union_, AntiProject)):
+        return True
+    if isinstance(t, (Filter, Rename)):
+        return _is_set(t.child)
+    if isinstance(t, Join):
+        return _is_set(t.left) and _is_set(t.right)
+    return isinstance(t, AntiJoin) and _is_set(t.left)
 
 
 def _high(seeds: Cols, sources: list[Cols]) -> int | None:

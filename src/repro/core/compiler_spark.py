@@ -5,10 +5,11 @@ the compiler DuckDB runs too, and executed as one ``spark.sql`` query,
 so Catalyst optimizes it. The paper translates it "directly into Spark
 operations using the Dataset API" (§IV); Spark SQL reaches the same
 optimizer (DESIGN.md §4). Fixpoints are dispatched to the physical plans
-in :mod:`repro.core.plans` (P_gld / P_plw^s / P_plw^pg), and the query
-reads their results as relations. :func:`filter_any` keeps the rows of
-a frame that meet any of several σ conditions in one scan, so that a
-pass collects the slices it reads of one relation in one job.
+in :mod:`repro.core.plans` (P_gld / P_plw^s / P_plw^pg), each with the
+terms around it that are linear in it, and the query reads their results
+as relations. :func:`filter_any` keeps the rows of a frame that meet any
+of several σ conditions in one scan, so that a pass collects the slices
+it reads of one relation in one job.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Iterator, Mapping, TypeVar
 from pyspark.sql import DataFrame, SparkSession
 
 from .compiler_sql import cond_sql, to_sql
-from .fcond import constant_variable_split
+from .fcond import around_fixpoint, constant_variable_split
 from .terms import (
     AntiJoin,
     AntiProject,
@@ -34,6 +35,7 @@ from .terms import (
     Var,
     children,
     map_children,
+    walk,
 )
 
 V = TypeVar("V")
@@ -59,11 +61,14 @@ class FixConfig:
     row_cap: int | None = None
     # At most this many rows are collected to the driver and broadcast,
     # also capped by ``row_cap``: a pass's inputs (the shuffle-free
-    # subterms of each fixpoint's φ and seeds), whose tasks then build
-    # the seeds (P_plw, the P_gld hand-off); else the constant relations
-    # of φ (and of each chained fixpoint's seeds), with the seeds built
-    # and repartitioned in Spark (P_plw). It does not bound what the
-    # tasks build: each of n tasks builds the seeds and φ's constants.
+    # subterms of each fixpoint's φ and seeds and of the fixpoint's
+    # consumer), whose tasks then build the seeds (P_plw, the P_gld
+    # hand-off); else the constant relations of φ (and of each chained
+    # fixpoint's seeds), with the seeds built and repartitioned in Spark
+    # (P_plw). A pass of one part reads the rows of one base relation in
+    # its task instead of from the driver; the budget bounds them all
+    # the same. It does not bound what the tasks build: each of n tasks
+    # builds the seeds and the constants of φ and of the consumer.
     broadcast_rows: int = 4_000_000
     # One plan label per fixpoint, filled in by plans.py, for tests/benches.
     chosen: list[str] = field(default_factory=list)
@@ -116,10 +121,14 @@ def eval_spark(
     per μ-RA set semantics). Returns a distinct DataFrame, or with
     ``distinct=False`` one whose outermost ∪ and π̃ keep duplicates.
 
-    Each maximal fixpoint runs through the physical plans. A bare relation
-    or fixpoint is returned as its DataFrame; anything else is one
-    ``spark.sql`` query over the DataFrames it reads, each bound to a
-    temporary view of its own for that call only (:func:`_sql`).
+    Each maximal fixpoint f runs through the physical plans together with
+    its consumer S: the largest subterm S[f] around f that reads f once
+    and no other fixpoint and is linear in f
+    (:func:`~repro.core.fcond.around_fixpoint`), S = f itself at least.
+    A bare relation or such a subterm is returned as its DataFrame;
+    anything else is one ``spark.sql`` query over the DataFrames it
+    reads, each bound to a temporary view of its own for that call only
+    (:func:`_sql`).
     """
     cfg = cfg or FixConfig()
     frames: dict[str, DataFrame] = {}
@@ -131,10 +140,12 @@ def eval_spark(
         return Rel(name)
 
     def lift(t: Term) -> Term:
-        if isinstance(t, Fix):
+        fix, consumer = around_fixpoint(t) or (None, None)
+        # A fixpoint runs once per read, each run with its plan label.
+        if fix is not None and [*walk(consumer)].count(Var(fix.var)) == 1:
             from .plans import execute_fixpoint  # local import: plans uses eval_spark
 
-            return read(execute_fixpoint(t, env, spark, cfg))
+            return read(execute_fixpoint(fix, env, spark, cfg, consumer))
         if isinstance(t, (Rel, Var)):
             if t.name not in env:
                 raise KeyError(f"relation {t.name!r} not bound")

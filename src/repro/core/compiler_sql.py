@@ -209,6 +209,9 @@ class DuckdbEvaluator:
 
         ``WITH RECURSIVE … UNION`` feeds each step only its new rows and
         deduplicates against one hash table of X: DuckDB runs the loop.
+        That UNION also removes a step's own duplicates, so φ is compiled
+        without its outermost ``DISTINCT`` and ``UNION`` (``distinct=False``),
+        which would hash each step's rows a second time.
         The row cap is its LIMIT: one row over X's
         :func:`~repro.core.fcond.row_limit` stops a runaway closure early
         and raises :class:`~repro.core.fcond.CapacityError`.
@@ -220,7 +223,7 @@ class DuckdbEvaluator:
         cols = ", ".join(sorted(fix_schema))
         self.env[xt] = self.env[f"__var__{var}"] = fix_schema
         phi = self._lift_fixpoints(phi, bound)
-        phi_sql, params = to_sql(phi, self.env, {**bound, var: w})
+        phi_sql, params = to_sql(phi, self.env, {**bound, var: w}, distinct=False)
         limit = row_limit(self.row_cap, self._rows(seeds_table))
         self.con.execute(
             f"CREATE OR REPLACE TEMP TABLE {xt} AS WITH RECURSIVE {w}({cols}) AS "

@@ -25,8 +25,11 @@ from .terms import (
     Join,
     Term,
     Union_,
+    Var,
+    children,
     free_vars,
     is_constant_in,
+    map_children,
     walk,
 )
 
@@ -120,6 +123,30 @@ def is_linear(t: Term, x: str) -> bool:
     except FCondError:
         return False
     return True
+
+
+def around_fixpoint(t: Term, var: str | None = None) -> tuple[Fix, Term] | None:
+    """``t`` as S[f]: its one maximal fixpoint f (read one or more times)
+    and S, which reads f as ``Var(var)`` (f's own variable by default), if
+    ``t`` has no free variable and S :func:`is_linear` in it; else None.
+    Then S(f) = ⋃ₚ S(fₚ) over any parts fₚ of f (Proposition 1)."""
+    fixes = set(_maximal_fixpoints(t))
+    if len(fixes) != 1 or free_vars(t):
+        return None
+    (f,) = fixes
+    var = var or f.var
+
+    def read(u: Term) -> Term:
+        return Var(var) if isinstance(u, Fix) else map_children(u, read)
+
+    s = read(t)
+    return (f, s) if is_linear(s, var) else None
+
+
+def _maximal_fixpoints(t: Term) -> list[Fix]:
+    if isinstance(t, Fix):
+        return [t]
+    return [f for c in children(t) for f in _maximal_fixpoints(c)]
 
 
 def constant_variable_split(fix: Fix) -> tuple[Term, Term]:

@@ -36,23 +36,36 @@ hands the whole fixpoint to one worker (``gld→local``): Proposition 3
 with a single part needs no stable column and no final distinct, so the
 hand-off is a pass of one part, hashed on no column.
 
+The Spark compiler hands each fixpoint f over with its consumer S: the
+largest term S[f] around f that reads no other fixpoint and is linear in
+f (:func:`~repro.core.fcond.around_fixpoint`). By Proposition 1,
+S(f) = ⋃ₚ S(fₚ) over the parts of f, so a pass evaluates S in its tasks,
+over each part's result. The parts' outputs stay disjoint when S passes
+every column that the parts are hashed on to its output unchanged
+(:func:`~repro.core.stabilizer.provenance`); otherwise one final distinct
+follows, and a pass of one part never needs it. Every other plan
+evaluates S in Spark over the fixpoint's frame.
+
 A pass (:func:`_run_pass`) has Spark evaluate only its *inputs*, the
-maximal shuffle-free subterms of every fixpoint's φ and seeds
+maximal shuffle-free subterms of every fixpoint's φ and seeds and of S
 (:func:`split_inputs`), and checks them against the broadcast budget
 before anything is collected: from Catalyst's row counts when every
 input has an upper bound there (:func:`_row_bound`), else by counting
 them in one job. If they fit, they are collected and broadcast: the
 slices of one base relation in one job, a scan filtered by the
 disjunction of their σ conditions, from which the driver cuts each slice
-(:func:`_collect`), and a nested fixpoint in its own. Each of n tasks
-then evaluates the first fixpoint's seeds R and keeps its own hash class
-of them (:func:`_run_local`): no Spark join, count or shuffle builds the
-seeds. The budget bounds what is collected, not what the tasks build:
-each of the n tasks builds all of R and φ's constants, n× their CPU. If
-they do not fit, nothing is collected: P_plw builds φ's constants and
-the seeds in Spark and repartitions the seeds (:func:`_run_plw`), and
-the hand-off runs the distributed loop (``gld(broadcast-fallback)``),
-both over the input frames.
+(:func:`_collect`), and a nested fixpoint in its own. A pass of one part
+(the hand-off) does not collect its first base relation: that scan is
+its task's partition, and the task cuts the slices (:class:`_Scan`).
+Each of n tasks then evaluates the first fixpoint's seeds R and keeps
+its own hash class of them (:func:`_run_local`): no Spark join, count or
+shuffle builds the seeds. The budget bounds what is collected or
+scanned, not what the tasks build: each of the n tasks builds all of R,
+φ's constants and S's, n× their CPU. If they do not fit, nothing is
+collected: P_plw builds φ's constants and the seeds in Spark and
+repartitions the seeds (:func:`_run_plw`), and the hand-off runs the
+distributed loop (``gld(broadcast-fallback)``), both over the input
+frames.
 """
 from __future__ import annotations
 
@@ -62,12 +75,13 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import StructField, StructType
 
 from .compiler_pandas import eval_pandas
 from .compiler_spark import FixConfig, columns, eval_spark, filter_any
 from .compiler_sql import eval_duckdb
-from .fcond import check_fcond, constant_variable_split, is_linear, semi_naive
+from .fcond import around_fixpoint, check_fcond, constant_variable_split, semi_naive
 from .stabilizer import provenance, stable_columns
 from .terms import (
     AntiJoin,
@@ -148,34 +162,41 @@ def execute_fixpoint(
     env: Mapping[str, DataFrame],
     spark: SparkSession,
     cfg: FixConfig,
+    consumer: Term | None = None,
 ) -> DataFrame:
-    """Entry point used by the Spark compiler for μ(X = Ψ)."""
+    """Entry point used by the Spark compiler for S[μ(X = Ψ)]. The
+    consumer S reads the fixpoint as ``Var(X)``, is linear in it and reads
+    no other fixpoint (:func:`~repro.core.fcond.around_fixpoint`); None
+    stands for X itself. A pass evaluates S in its tasks; every other plan
+    evaluates it in Spark over the fixpoint's frame."""
     if cfg.strategy not in ("auto", "gld", "plw_s", "plw_pg"):
         raise ValueError(f"unknown fixpoint strategy {cfg.strategy!r}")
+    consumer = consumer or Var(fix.var)
     schemas = {k: frozenset(df.columns) for k, df in env.items()}
     stable = _stable_columns(fix, schemas)
     strategy = cfg.strategy
     if strategy == "auto":
         strategy = "plw_s" if stable else "gld→local"
     if strategy == "gld→local" or (strategy != "gld" and stable):
-        return _run_pass(_chain(fix, stable, schemas)[0], env, spark, cfg, strategy)
+        levels, part = _chain(fix, stable, schemas)
+        # S keeps the parts' outputs disjoint when every column that they
+        # are hashed on reaches its output unchanged.
+        prov = provenance(consumer, fix.var, schemas, schema(fix, schemas))
+        disjoint = set(part) <= set(prov.values())
+        return _run_pass(levels, consumer, disjoint, env, spark, cfg, strategy)
     levels, _ = _chain(fix, frozenset(), schemas)
     (level,), seeds, cenv, _ = _bind_constants(levels, env, spark, cfg)
     # Forced P_plw without a stable column would lose the disjointness
     # guarantee; the paper never does this — fall back to P_gld.
     cfg.chosen.append("gld" if strategy == "gld" else "gld(no-stable-column)")
-    return _run_gld(level.phi, fix.var, seeds, cenv, spark, cfg)
+    x = _run_gld(level.phi, fix.var, seeds, cenv, spark, cfg)
+    return eval_spark(consumer, {**env, fix.var: x}, spark, cfg)  # x itself if S is X
 
 
 def _stable_columns(fix: Fix, schemas: Mapping[str, frozenset[str]]) -> frozenset[str]:
     check_fcond(fix)
     const, phi = constant_variable_split(fix)
     return stable_columns(phi, fix.var, schemas, schema(const, schemas))
-
-
-def _nested(t: Term) -> list[Fix]:
-    """The maximal fixpoints in ``t``."""
-    return [t] if isinstance(t, Fix) else [f for c in children(t) for f in _nested(c)]
 
 
 class _Level(NamedTuple):
@@ -207,12 +228,11 @@ def _chain(
     columns (on none if it has none: P_gld).
     """
     const, phi = constant_variable_split(fix)
-    nested = set(_nested(const))
-    if stable and len(nested) == 1:
-        (y,) = nested
-        s = _replace(const, {y: Var(fix.var)})
+    around = around_fixpoint(const, fix.var) if stable else None
+    if around is not None:
+        y, s = around
         y_stable = _stable_columns(y, schemas)
-        if y_stable and is_linear(s, fix.var):
+        if y_stable:
             chain, y_part = _chain(y, y_stable, schemas)
             prov = provenance(s, fix.var, schemas, schema(y, schemas))
             part = [next((c for c in sorted(stable) if prov[c] == p), None) for p in y_part]
@@ -384,31 +404,41 @@ def _over_budget(
 
 def _run_pass(
     levels: list[_Level],
+    consumer: Term,
+    disjoint: bool,
     env: Mapping[str, DataFrame],
     spark: SparkSession,
     cfg: FixConfig,
     engine: str,
 ) -> DataFrame:
-    """Run the fixpoints of ``levels`` in one pass of local loops, labelled
-    ``engine``: ``plw_s`` or ``plw_pg``, hashed on the first one's stable
-    columns, or ``gld→local``, one part hashed on none.
+    """S[f] for the fixpoints of ``levels``, f the last, run in one pass of
+    local loops labelled ``engine``: ``plw_s`` or ``plw_pg``, hashed on the
+    first one's stable columns, or ``gld→local``, one part hashed on none.
+    S is ``consumer``, reading f as its variable; ``disjoint`` says whether
+    S keeps the parts' outputs disjoint.
 
-    Spark evaluates the inputs of every fixpoint's φ and seeds only (a
-    nested fixpoint through the planner, checkpointed so that counting
-    and collecting run it once; its plan has no exchange when it ran as a
-    pass), and checks them against the broadcast budget before anything
-    is collected. If they fit, they are collected, one job per base
-    relation and one per nested fixpoint (:func:`_collect`), and
-    broadcast to n tasks, each of which builds the first seeds and its
-    part of them (:func:`_run_local`). A slice of a base relation gets a
-    DataFrame of its own only if the check counts it or the pass runs
-    over the budget. Then nothing is collected, and the pass runs over
-    the input frames, so no nested fixpoint is planned twice: P_plw with
-    φ's constants and the seeds from Spark (:func:`_run_plw`), and the
-    hand-off as the distributed loop.
+    Spark evaluates only the inputs of every fixpoint's φ and seeds and of
+    S (a nested fixpoint through the planner, checkpointed so that
+    counting and collecting run it once; its plan has no exchange when it
+    ran as a pass), and checks them against the broadcast budget before
+    anything is collected. If they fit, n tasks each build the first
+    seeds, keep their part of them and evaluate S over their part of f
+    (:func:`_run_local`): S(f) = ⋃ₚ S(fₚ) (Proposition 1). The parts'
+    outputs are one distinct apart unless ``disjoint`` or n = 1. Each base
+    relation is collected in one job (:func:`_collect`) and broadcast, and
+    so is each nested fixpoint; but a pass of one part reads the slices of
+    its first base relation in its task, from one filtered scan. A slice
+    of a base relation gets a DataFrame of its own only if the check
+    counts it or the pass runs over the budget. Then nothing is collected,
+    and the pass runs over the input frames, so no nested fixpoint is
+    planned twice: P_plw with φ's constants and the seeds from Spark
+    (:func:`_run_plw`), and the hand-off as the distributed loop; S runs
+    in Spark over f's frame.
     """
-    terms, slices = split_inputs([t for lv in levels for t in (lv.seeds, lv.phi)], cfg.fresh())
-    split = [lv._replace(seeds=s, phi=p) for lv, s, p in zip(levels, terms[::2], terms[1::2])]
+    var = levels[-1].var
+    reads = [t for lv in levels for t in (lv.seeds, lv.phi)]
+    (*terms, s), slices = split_inputs([*reads, consumer], cfg.fresh())
+    split = [lv._replace(seeds=sd, phi=p) for lv, sd, p in zip(levels, terms[::2], terms[1::2])]
     # A nested fixpoint is planned now, in the order of the labels; a
     # slice of a base relation is built in Spark only if it is counted or
     # the pass runs over the budget.
@@ -423,25 +453,38 @@ def _run_pass(
             dfs[name] = eval_spark(slices[name], env, spark, cfg)
         return dfs[name]
 
-    if not _over_budget(frame, slices, env, _copies(*terms), cfg):
+    if not _over_budget(frame, slices, env, _copies(*terms, s), cfg):
         cfg.chosen.extend([engine] * len(levels))
         hashed = split[0].stable
         n = (cfg.num_partitions or spark.sparkContext.defaultParallelism) if hashed else 1
         evaluate = eval_duckdb if engine == "plw_pg" else eval_pandas
-        tables, fields = _collect(slices, env, frame, spark)
-        local = _local_term(split)
-        return _run_local(local, tables, fields, split[0].seeds, spark, cfg, evaluate, hashed, n)
+        scans = _by_base(slices)
+        scan = None
+        if n == 1 and scans:  # the one task reads its first base relation
+            rel, conds = next(iter(scans.items()))
+            rows = filter_any(env[rel], list(conds.values()), spark)
+            # Catalyst drops a task over rows it knows to be none, so such
+            # a scan is collected instead.
+            if _leaf_rows(rows) != 0:
+                scan = _Scan(rel, rows.coalesce(1), {name: slices[name] for name in conds})
+        tables, fields = _collect(slices, env, frame, spark, scan and scan.rel)
+        local = subst(s, var, _local_term(split))
+        out = _run_local(local, tables, fields, split[0].seeds, spark, cfg, evaluate, hashed, n,
+                         scan)
+        return out if disjoint or n == 1 else out.distinct()
     inputs = {**env, **{name: frame(name) for name in slices}}
     if not levels[0].stable:
         cfg.chosen.append("gld(broadcast-fallback)")
         (level,), seeds, cenv, _ = _bind_constants(split, inputs, spark, cfg)
-        return _run_gld(level.phi, level.var, seeds, cenv, spark, cfg)
-    # P_plw's local engines deduplicate their seeds.
-    bound, seeds, cenv, cores = _bind_constants(split, inputs, spark, cfg, distinct=False)
-    # The row bound of each relation comes from its term over ``env``.
-    reads = {Rel(name): core for name, core in slices.items()}
-    rel_terms = {**slices, **{name: _replace(t, reads) for name, t in cores.items()}}
-    return _run_plw(bound, seeds, cenv, rel_terms, spark, cfg, engine)
+        x = _run_gld(level.phi, level.var, seeds, cenv, spark, cfg)
+    else:
+        # P_plw's local engines deduplicate their seeds.
+        bound, seeds, cenv, cores = _bind_constants(split, inputs, spark, cfg, distinct=False)
+        # The row bound of each relation comes from its term over ``env``.
+        back = {Rel(name): core for name, core in slices.items()}
+        rel_terms = {**slices, **{name: _replace(t, back) for name, t in cores.items()}}
+        x = _run_plw(bound, seeds, cenv, rel_terms, spark, cfg, engine)
+    return eval_spark(consumer, {**env, var: x}, spark, cfg)
 
 
 def _base(core: Term) -> tuple[str, list[Cond]] | None:
@@ -464,6 +507,17 @@ def _base(core: Term) -> tuple[str, list[Cond]] | None:
     return (core.name, conds) if isinstance(core, Rel) else None
 
 
+def _by_base(slices: Mapping[str, Term]) -> dict[str, dict[str, list[Cond]]]:
+    """For each base relation that ``slices`` read, each of its slices
+    with the slice's σ conditions over it (:func:`_base`)."""
+    scans: dict[str, dict[str, list[Cond]]] = {}
+    for name, core in slices.items():
+        base = _base(core)
+        if base is not None:
+            scans.setdefault(base[0], {})[name] = base[1]
+    return scans
+
+
 def _fields(df: DataFrame) -> dict[str, StructField]:
     return {f.name: f for f in df.schema}
 
@@ -473,8 +527,10 @@ def _collect(
     env: Mapping[str, DataFrame],
     frame: Callable[[str], DataFrame],
     spark: SparkSession,
+    skip: str | None = None,
 ) -> tuple[dict[str, pd.DataFrame], dict[str, dict[str, StructField]]]:
-    """Each input slice as a pandas frame, and its Spark fields in order.
+    """Each input slice as a pandas frame, and its Spark fields in order;
+    a slice of the base relation ``skip`` has its fields only.
 
     The slices of one base relation are collected in one job: one scan
     keeps the rows that meet the σ conditions of one of them or more
@@ -487,19 +543,16 @@ def _collect(
     may be integer). A slice over a nested fixpoint is collected from its
     checkpoint, ``frame(name)``."""
     tables, fields = {}, {}
-    scans: dict[str, dict[str, list[Cond]]] = {}  # base → slice → its σ conditions
     for name, core in slices.items():
-        base = _base(core)
-        if base is None:
+        if _base(core) is None:
             tables[name], fields[name] = frame(name).toPandas(), _fields(frame(name))
-        else:
-            scans.setdefault(base[0], {})[name] = base[1]
-    for rel, conds in scans.items():
-        rows = filter_any(env[rel], list(conds.values()), spark).toPandas()
+    for rel, conds in _by_base(slices).items():
         base_fields = {rel: _fields(env[rel])}
-        for name in conds:
-            tables[name] = eval_pandas(slices[name], {rel: rows}, distinct=False)
-            fields[name] = columns(slices[name], base_fields)
+        fields |= {name: columns(slices[name], base_fields) for name in conds}
+        if rel != skip:
+            rows = filter_any(env[rel], list(conds.values()), spark).toPandas()
+            tables |= {name: eval_pandas(slices[name], {rel: rows}, distinct=False)
+                       for name in conds}
     return tables, fields
 
 
@@ -638,8 +691,17 @@ def _hash_parts(rows: pd.DataFrame, cols: Sequence[str], n: int) -> pd.Series:
     return pd.util.hash_pandas_object(rows[list(cols)], index=False) % n
 
 
+class _Scan(NamedTuple):
+    """The rows of base relation ``rel`` that a one-part pass reads as its
+    partition, and the slices its task cuts from them."""
+
+    rel: str
+    rows: DataFrame
+    slices: dict[str, Term]
+
+
 def _run_local(
-    local: Fix,
+    local: Term,
     tables: Mapping[str, pd.DataFrame],
     fields: Mapping[str, Mapping[str, StructField]],
     seeds: DataFrame | Term,
@@ -648,6 +710,7 @@ def _run_local(
     evaluate: Callable[..., pd.DataFrame],
     hashed: Sequence[str] = (),
     n: int = 1,
+    scan: _Scan | None = None,
 ) -> DataFrame:
     """``local`` evaluated by ``evaluate`` once per part of its seeds,
     which it reads as ``__seeds``, with the collected relations ``tables``
@@ -655,28 +718,45 @@ def _run_local(
     parts are the non-empty partitions of the DataFrame ``seeds``; or,
     for a term ``seeds`` over ``tables``, task p of n evaluates it and
     keeps the rows whose ``hashed`` columns hash to p
-    (:func:`_hash_parts`)."""
+    (:func:`_hash_parts`). With a ``scan``, the one task (n = 1) reads
+    the scan's rows as its partition, cuts its slices from them with
+    :func:`eval_pandas` and adds them to ``tables``; it runs even if the
+    scan keeps no row."""
     # Each output column has the type and nullability of the input one.
     fields = dict(fields)
     if isinstance(seeds, DataFrame):
         fields[_SEEDS], partitions, term = _fields(seeds), seeds, None
     else:
-        fields[_SEEDS], partitions, term = columns(seeds, fields), spark.range(0, n, 1, n), seeds
+        fields[_SEEDS], term = columns(seeds, fields), seeds
+        partitions = spark.range(0, n, 1, n) if scan is None else scan.rows
     cols = columns(local, fields)
     out = StructType([StructField(c, f.dataType, f.nullable) for c, f in cols.items()])
-    bc = spark.sparkContext.broadcast(dict(tables))
+    bc = spark.sparkContext.broadcast(dict(tables)) if tables else None
     row_cap = cfg.row_cap
+    # The task reads no DataFrame: the scan's relation, slices and schema.
+    rel, cuts, schema = (None, {}, None) if scan is None else (
+        scan.rel, scan.slices, scan.rows.schema)
 
     def run_partition(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         parts = list(it)
-        if not parts:
+        if not parts and rel is None:
             return
-        part = pd.concat(parts, ignore_index=True)
-        if term is not None:  # the partition holds its task's number
-            rows = evaluate(term, bc.value, row_cap)
+        if parts:
+            part = pd.concat(parts, ignore_index=True)
+        else:  # no row of the scan, with the columns that rows would have
+            part = to_arrow_schema(schema).empty_table().to_pandas()
+        env = bc.value if bc else {}
+        if rel is not None:  # the partition holds the rows of a base relation
+            env = {**env, **{k: eval_pandas(t, {rel: part}, distinct=False)
+                             for k, t in cuts.items()}}
+        if term is not None:  # else the partition holds the seeds
+            rows = evaluate(term, env, row_cap)
+            # Without a scan, the partition holds its task's number.
             part = rows if n == 1 else rows[_hash_parts(rows, hashed, n) == part["id"].iat[0]]
         if part.empty:
             return
-        yield evaluate(local, {**bc.value, _SEEDS: part}, row_cap)[out.names]
+        result = evaluate(local, {**env, _SEEDS: part}, row_cap)
+        if not result.empty:
+            yield result[out.names]
 
     return partitions.mapInPandas(run_partition, schema=out)

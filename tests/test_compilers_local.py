@@ -346,6 +346,39 @@ def test_duckdb_cap_is_the_limit():
         ev.con.close()
 
 
+# φ's two branches yield the same rows, and each one's outermost π̃[m1]
+# drops an unpinned column: one step makes each new row more than once.
+DUP_PHI = Union_(compose(Var("X"), Rel("R"), "m1"), compose(Var("X"), Rel("R2"), "m1"))
+
+
+def test_duckdb_step_without_distinct_stays_a_set():
+    """The recursive UNION alone removes a step's duplicates: φ's own
+    outermost DISTINCT and UNION are left out, and X is still a set."""
+    g = np.random.default_rng(3)
+    r = pd.DataFrame({"src": g.integers(0, 12, 50), "dst": g.integers(0, 12, 50)})
+    r = r.drop_duplicates(ignore_index=True)
+    env = {"S": r.iloc[:5], "R": r, "R2": r.copy()}
+    phi_sql, _ = to_sql(DUP_PHI, {"R": SD, "R2": SD, "__var__X": SD}, {"X": "w"}, distinct=False)
+    assert "DISTINCT" not in phi_sql and "UNION ALL" in phi_sql
+    fix = Fix("X", Union_(Rel("S"), DUP_PHI))
+    got = eval_duckdb(fix, env)
+    want = eval_pandas(fix, env)
+    assert len(want) > len(env["S"])
+    assert len(got) == len(rows(got)) == len(want)
+    assert rows(got) == rows(want)
+
+
+def test_duckdb_cap_trips_on_a_step_with_duplicates():
+    ev = DuckdbEvaluator({**CYCLE_ENV, "R2": CYCLE}, row_cap=1_000)
+    try:
+        with pytest.raises(CapacityError):
+            ev.run_seminaive(DUP_PHI, "X", "S")
+        (size,) = ev.con.execute("SELECT count(*) FROM __fix_x_0").fetchone()
+        assert size == 1_001
+    finally:
+        ev.con.close()
+
+
 # Small ids, plus ids at and past the packed key's 32-bit halves (2³¹,
 # 2³²) and negative ones, where row keys fall back to a MultiIndex.
 NODE = st.integers(0, 8) | st.sampled_from([2**31 - 1, 2**31, 2**32 - 1, 2**32, -1, -(2**31)])

@@ -137,26 +137,26 @@ def build_and_run(spark, group, fix, env, cfg):
 
 def test_hand_off_runs_only_the_inputs_in_spark(spark, fig2_e):
     # merged_fix's one input relation, E, is built from pandas, so its
-    # row count bounds it with no job: building the plan collects E in
-    # one job and counts nothing. The action runs constants, seeds and
-    # loop in one Python task.
+    # row count bounds it with no job: building the plan runs no job. The
+    # action scans E, and builds constants, seeds and loop, in one Python
+    # task.
     env = {"E": spark.createDataFrame(fig2_e)}
     cfg = FixConfig(strategy="auto")
     got, build, tasks = build_and_run(spark, "hand-off", merged_fix(), env, cfg)
     assert cfg.chosen == ["gld→local"]
-    assert len(build) == 1
+    assert len(build) == 0
     assert tasks == 1
     assert pairs(got) == pairs(eval_pandas(merged_fix(), {"E": fig2_e.copy()}))
 
 
 def test_hand_off_counts_inputs_without_a_row_bound(spark, fig2_e):
-    # Built from a list, E has no row count in Catalyst: one job counts it
-    # before the one that collects it.
+    # Built from a list, E has no row count in Catalyst: one job counts
+    # it, and the action's one task reads it.
     env = {"E": spark.createDataFrame(fig2_e.values.tolist(), "src long, dst long")}
     cfg = FixConfig(strategy="auto")
     got, build, tasks = build_and_run(spark, "hand-off-count", merged_fix(), env, cfg)
     assert cfg.chosen == ["gld→local"]
-    assert len(build) == 2
+    assert len(build) == 1
     assert tasks == 1
     assert pairs(got) == pairs(eval_pandas(merged_fix(), {"E": fig2_e.copy()}))
 
