@@ -35,7 +35,6 @@ from .terms import (
     Var,
     children,
     map_children,
-    walk,
 )
 
 V = TypeVar("V")
@@ -63,12 +62,12 @@ class FixConfig:
     # also capped by ``row_cap``: a pass's inputs (the shuffle-free
     # subterms of each fixpoint's φ and seeds and of the fixpoint's
     # consumer), whose tasks then build the seeds (P_plw, the P_gld
-    # hand-off); else the constant relations of φ (and of each chained
-    # fixpoint's seeds), with the seeds built and repartitioned in Spark
-    # (P_plw). A pass of one part reads the rows of one base relation in
-    # its task instead of from the driver; the budget bounds them all
-    # the same. It does not bound what the tasks build: each of n tasks
-    # builds the seeds and the constants of φ and of the consumer.
+    # hand-off); else the inputs but the first seeds', with the seeds
+    # built and repartitioned in Spark (P_plw). A pass of one part reads
+    # the rows of one base relation in its task instead of from the
+    # driver; the budget bounds them all the same. It does not bound what
+    # the tasks build: each of n tasks builds the seeds and the constants
+    # of φ and of the consumer.
     broadcast_rows: int = 4_000_000
     # One plan label per fixpoint, filled in by plans.py, for tests/benches.
     chosen: list[str] = field(default_factory=list)
@@ -122,9 +121,9 @@ def eval_spark(
     ``distinct=False`` one whose outermost ∪ and π̃ keep duplicates.
 
     Each maximal fixpoint f runs through the physical plans together with
-    its consumer S: the largest subterm S[f] around f that reads f once
-    and no other fixpoint and is linear in f
-    (:func:`~repro.core.fcond.around_fixpoint`), S = f itself at least.
+    its consumer S: the largest subterm S[f] around f that reads no other
+    fixpoint and is linear in f (:func:`~repro.core.fcond.around_fixpoint`),
+    S = f itself at least. f runs once however many ∪ branches of S read it.
     A bare relation or such a subterm is returned as its DataFrame;
     anything else is one ``spark.sql`` query over the DataFrames it
     reads, each bound to a temporary view of its own for that call only
@@ -141,8 +140,7 @@ def eval_spark(
 
     def lift(t: Term) -> Term:
         fix, consumer = around_fixpoint(t) or (None, None)
-        # A fixpoint runs once per read, each run with its plan label.
-        if fix is not None and [*walk(consumer)].count(Var(fix.var)) == 1:
+        if fix is not None:
             from .plans import execute_fixpoint  # local import: plans uses eval_spark
 
             return read(execute_fixpoint(fix, env, spark, cfg, consumer))

@@ -42,30 +42,33 @@ f (:func:`~repro.core.fcond.around_fixpoint`). By Proposition 1,
 S(f) = ⋃ₚ S(fₚ) over the parts of f, so a pass evaluates S in its tasks,
 over each part's result. The parts' outputs stay disjoint when S passes
 every column that the parts are hashed on to its output unchanged
-(:func:`~repro.core.stabilizer.provenance`); otherwise one final distinct
-follows, and a pass of one part never needs it. Every other plan
-evaluates S in Spark over the fixpoint's frame.
+(:func:`~repro.core.stabilizer.provenance`), or when the first seeds pin
+every column that they are hashed on; otherwise one final distinct
+follows, and a pass of one part never needs it. P_gld evaluates S in
+Spark over the fixpoint's frame, a checkpoint.
 
 A pass (:func:`_run_pass`) has Spark evaluate only its *inputs*, the
 maximal shuffle-free subterms of every fixpoint's φ and seeds and of S
-(:func:`split_inputs`), and checks them against the broadcast budget
-before anything is collected: from Catalyst's row counts when every
-input has an upper bound there (:func:`_row_bound`), else by counting
-them in one job. If they fit, they are collected and broadcast: the
-slices of one base relation in one job, a scan filtered by the
-disjunction of their σ conditions, from which the driver cuts each slice
-(:func:`_collect`), and a nested fixpoint in its own. A pass of one part
-(the hand-off) does not collect its first base relation: that scan is
-its task's partition, and the task cuts the slices (:class:`_Scan`).
-Each of n tasks then evaluates the first fixpoint's seeds R and keeps
-its own hash class of them (:func:`_run_local`): no Spark join, count or
-shuffle builds the seeds. The budget bounds what is collected or
-scanned, not what the tasks build: each of the n tasks builds all of R,
-φ's constants and S's, n× their CPU. If they do not fit, nothing is
-collected: P_plw builds φ's constants and the seeds in Spark and
-repartitions the seeds (:func:`_run_plw`), and the hand-off runs the
-distributed loop (``gld(broadcast-fallback)``), both over the input
-frames.
+(:func:`split_inputs`), split once for both of its tiers. It checks the
+inputs against the broadcast budget before anything is collected: from
+Catalyst's row counts when every input has an upper bound there
+(:func:`_row_bound`), else by counting them in one job. If they fit, they
+are collected and broadcast: the slices of one base relation in one job,
+a scan filtered by the disjunction of their σ conditions, from which the
+driver cuts each slice (:func:`_collect`), and a nested fixpoint in its
+own. A pass of one part (the hand-off) does not collect its first base
+relation: that scan is its task's partition, and the task cuts the
+slices (:class:`_Scan`). Each of n tasks then evaluates the first
+fixpoint's seeds R and keeps its own hash class of them
+(:func:`_run_local`): no Spark join, count or shuffle builds the seeds.
+The budget bounds what is collected or scanned, not what the tasks
+build: each of the n tasks builds all of R, φ's constants and S's, n×
+their CPU. If they do not fit, P_plw builds R in Spark over the input
+frames and repartitions it, and its tasks read only the other inputs,
+collected as before (:func:`_run_plw`); S runs in the tasks in both
+tiers. If those overrun the budget too, the fixpoints run one by one, and
+a lone one, or a hand-off over the budget, runs P_gld
+(``gld(broadcast-fallback)``, :func:`_gld`) with S in Spark.
 """
 from __future__ import annotations
 
@@ -84,14 +87,12 @@ from .compiler_sql import eval_duckdb
 from .fcond import around_fixpoint, check_fcond, constant_variable_split, semi_naive
 from .stabilizer import provenance, stable_columns
 from .terms import (
-    AntiJoin,
     AntiProject,
     Cond,
     EqConst,
     EqCol,
     Filter,
     Fix,
-    Join,
     Rel,
     Rename,
     Term,
@@ -104,38 +105,6 @@ from .terms import (
     schema,
     subst,
 )
-
-_CONST_PREFIX = "__bc_"
-
-
-def extract_constants(
-    phi: Term, var: str, prefix: str = _CONST_PREFIX
-) -> tuple[Term, dict[str, Term]]:
-    """Replace every maximal subterm of φ constant in ``var`` by a fresh
-    relation name, ``prefix`` and a number.
-
-    The physical plans evaluate those subterms once (with Spark, so
-    nested fixpoints recurse through the planner) and broadcast them to
-    the partition-local loops — the paper's "all relations in the
-    variable part of the fixpoint apart from the recursive relation are
-    broadcasted".
-    """
-    mapping: dict[str, Term] = {}
-
-    def rec(t: Term) -> Term:
-        if is_constant_in(t, var):
-            # Keep bare Rel leaves as-is: they are already named inputs.
-            if isinstance(t, Rel):
-                return t
-            name = f"{prefix}{len(mapping)}"
-            mapping[name] = t
-            return Rel(name)
-        if isinstance(t, Fix):
-            raise TypeError(f"fixpoint depending on {var!r} in φ: {t}")
-        return map_children(t, rec)
-
-    return rec(phi), mapping
-
 
 def _peel(t: Term) -> tuple[Term, list[Rename]]:
     """``t`` without its outer renames, and those renames, outermost first."""
@@ -178,18 +147,19 @@ def execute_fixpoint(
     if strategy == "auto":
         strategy = "plw_s" if stable else "gld→local"
     if strategy == "gld→local" or (strategy != "gld" and stable):
-        levels, part = _chain(fix, stable, schemas)
+        levels = _chain(fix, stable, schemas)
         # S keeps the parts' outputs disjoint when every column that they
-        # are hashed on reaches its output unchanged.
+        # are hashed on reaches its output unchanged, or when the first
+        # seeds pin every column they are hashed on: all of R is one part.
         prov = provenance(consumer, fix.var, schemas, schema(fix, schemas))
-        disjoint = set(part) <= set(prov.values())
+        first = levels[0]
+        disjoint = set(levels[-1].hashed) <= set(prov.values()) or (
+            set(first.hashed) <= pinned(first.seeds).keys())
         return _run_pass(levels, consumer, disjoint, env, spark, cfg, strategy)
-    levels, _ = _chain(fix, frozenset(), schemas)
-    (level,), seeds, cenv, _ = _bind_constants(levels, env, spark, cfg)
+    (level,) = _chain(fix, frozenset(), schemas)
     # Forced P_plw without a stable column would lose the disjointness
     # guarantee; the paper never does this — fall back to P_gld.
-    cfg.chosen.append("gld" if strategy == "gld" else "gld(no-stable-column)")
-    x = _run_gld(level.phi, fix.var, seeds, cenv, spark, cfg)
+    x = _gld(level, env, spark, cfg, "gld" if strategy == "gld" else "gld(no-stable-column)")
     return eval_spark(consumer, {**env, fix.var: x}, spark, cfg)  # x itself if S is X
 
 
@@ -205,27 +175,27 @@ class _Level(NamedTuple):
     var: str
     phi: Term
     seeds: Term  # the first fixpoint's R; a chained one's S, reading ``var``
-    stable: list[str]
+    hashed: list[str]  # the columns that its parts are hashed on
 
 
 def _chain(
     fix: Fix, stable: frozenset[str], schemas: Mapping[str, frozenset[str]]
-) -> tuple[list[_Level], list[str]]:
+) -> list[_Level]:
     """The fixpoints that one P_plw pass ending with ``fix`` runs in the
-    parts of the first one's seeds, and the columns of ``fix`` that those
-    parts are hashed on.
+    parts of the first one's seeds, each with the columns that those parts
+    are hashed on.
 
     After the first, each fixpoint's seeds S read the fixpoint before it
     as its own variable. ``fix`` chains onto a nested fixpoint Y when Y is
     the one maximal fixpoint of its seeds and would run P_plw itself; S
     is linear and positive in Y (so Y is not joined with itself) and
     reads it in every ∪ branch; and each column that Y's parts are hashed
-    on is the provenance of a stable column of ``fix``. Then S(Y) is the
-    union of S over Y's parts (Proposition 1), and the part of ``fix``
-    grown from one part of Y keeps that part's hashed values in those
-    stable columns, so the parts stay disjoint (Proposition 3 and
-    stability). Otherwise ``fix`` runs alone, hashed on its stable
-    columns (on none if it has none: P_gld).
+    on is the provenance of a stable column of ``fix``, which its parts
+    are then hashed on. Then S(Y) is the union of S over Y's parts
+    (Proposition 1), and the part of ``fix`` grown from one part of Y
+    keeps that part's hashed values in those stable columns, so the parts
+    stay disjoint (Proposition 3 and stability). Otherwise ``fix`` runs
+    alone, hashed on its stable columns (on none if it has none: P_gld).
     """
     const, phi = constant_variable_split(fix)
     around = around_fixpoint(const, fix.var) if stable else None
@@ -233,12 +203,13 @@ def _chain(
         y, s = around
         y_stable = _stable_columns(y, schemas)
         if y_stable:
-            chain, y_part = _chain(y, y_stable, schemas)
+            chain = _chain(y, y_stable, schemas)
             prov = provenance(s, fix.var, schemas, schema(y, schemas))
-            part = [next((c for c in sorted(stable) if prov[c] == p), None) for p in y_part]
+            part = [next((c for c in sorted(stable) if prov[c] == p), None)
+                    for p in chain[-1].hashed]
             if None not in part:
-                return [*chain, _Level(fix.var, phi, s, sorted(stable))], part
-    return [_Level(fix.var, phi, const, sorted(stable))], sorted(stable)
+                return [*chain, _Level(fix.var, phi, s, part)]
+    return [_Level(fix.var, phi, const, sorted(stable))]
 
 
 def _replace(t: Term, reads: Mapping[Term, Term]) -> Term:
@@ -247,53 +218,6 @@ def _replace(t: Term, reads: Mapping[Term, Term]) -> Term:
     if t in reads:
         return reads[t]
     return t if isinstance(t, Fix) else map_children(t, lambda c: _replace(c, reads))
-
-
-def _bind_constants(
-    levels: list[_Level],
-    env: Mapping[str, DataFrame],
-    spark: SparkSession,
-    cfg: FixConfig,
-    distinct: bool = True,
-) -> tuple[list[_Level], DataFrame, dict[str, DataFrame], dict[str, Term]]:
-    """Each fixpoint of ``levels`` over its constant relations, the seeds
-    of the first, ``env`` with those relations bound, and the term over
-    ``env`` of each relation.
-
-    The constants of each φ, and of each chained fixpoint's seeds, are
-    extracted under the fixpoint's own prefix. Those that differ only in
-    their outer renames share one relation, their core, evaluated once at
-    its first use and checkpointed. The checkpoint is not lazy: under
-    adaptive execution, ``localCheckpoint(eager=False)`` runs the shuffle
-    stages of a plan with an exchange (a join, say) when it is called, a
-    job each, and leaves only the final stage to the first action. A
-    constant reads its core with the renames re-applied, and a core that
-    is a bare relation is read as it is. The first fixpoint's seeds are
-    evaluated with every subterm equal to a core read from it. They are
-    a set unless ``distinct`` is false: then their outermost ∪ and π̃
-    keep duplicates.
-    """
-    cenv, cores = dict(env), {}
-    bound: list[_Level] = []
-    for i, level in reversed(list(enumerate(levels))):  # outermost first, as fixpoints nest
-        if i:
-            both, consts = extract_constants(Union_(level.seeds, level.phi), level.var, cfg.fresh())
-            seeds, phi = both.left, both.right
-        else:
-            seeds, (phi, consts) = level.seeds, extract_constants(level.phi, level.var, cfg.fresh())
-        reads = {}
-        for name, t in consts.items():
-            core, renames = _peel(t)
-            if not isinstance(core, Rel) and core not in cores:
-                cores[core] = name
-                cenv[name] = eval_spark(core, env, spark, cfg).localCheckpoint(eager=False)
-            base = core.name if isinstance(core, Rel) else cores[core]
-            reads[Rel(name)] = _read(base, renames)
-        seeds = _replace(seeds, reads) if i else seeds
-        bound.insert(0, level._replace(phi=_replace(phi, reads), seeds=seeds))
-    seeds = _replace(bound[0].seeds, {core: Rel(name) for core, name in cores.items()})
-    terms = {name: core for core, name in cores.items()}
-    return bound, eval_spark(seeds, cenv, spark, cfg, distinct), cenv, terms
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +235,13 @@ def _is_input(t: Term) -> bool:
     return isinstance(t, (Rel, Fix))
 
 
-def split_inputs(terms: list[Term], prefix: str) -> tuple[list[Term], dict[str, Term]]:
-    """``terms`` with each of their inputs, their maximal shuffle-free
-    subterms, replaced by a read of a relation named ``prefix`` and a
-    number, and the slice of each name.
+def split_inputs(
+    terms: list[Term], prefix: str, is_input: Callable[[Term], bool] = _is_input
+) -> tuple[list[Term], dict[str, Term]]:
+    """``terms`` with each of their inputs, their maximal subterms that
+    ``is_input`` holds for (by default the shuffle-free ones), replaced by
+    a read of a relation named ``prefix`` and a number, and the slice of
+    each name.
 
     Inputs that differ only in their outer renames are one relation slice
     under one name; the read re-applies the renames.
@@ -322,7 +249,7 @@ def split_inputs(terms: list[Term], prefix: str) -> tuple[list[Term], dict[str, 
     slices: dict[Term, str] = {}  # slice → name
 
     def rec(t: Term) -> Term:
-        if not _is_input(t):
+        if not is_input(t):
             return map_children(t, rec)
         core, renames = _peel(t)
         return _read(slices.setdefault(core, f"{prefix}{len(slices)}"), renames)
@@ -353,28 +280,20 @@ def _leaf_rows(df: DataFrame) -> int | None:
 
 
 def _row_bound(t: Term, env: Mapping[str, DataFrame]) -> int | None:
-    """An upper bound on the rows of the fixpoint-free term ``t`` over
-    ``env``, found without a Spark job; None if a leaf has no count.
+    """An upper bound on the rows of the input slice ``t`` over ``env``,
+    found without a Spark job; None over a fixpoint or a leaf without a
+    count.
 
     Leaves read their count from Catalyst (:func:`_leaf_rows`). With
     ``spark.sql.cbo.enabled`` and ``spark.sql.cbo.planStats.enabled`` off,
     as :func:`repro.bench.session.get_spark` leaves them, Catalyst counts
     only local, in-memory and range leaves, never from table statistics
     an ``ANALYZE`` may have left stale. σ, ρ and π̃ keep their child's
-    bound, ▷ its left side's; ∪ adds its sides' and ⋈ multiplies them.
+    bound.
     """
-    if isinstance(t, Rel):
-        return _leaf_rows(env[t.name])
-    if isinstance(t, (Filter, Rename, AntiProject)):
-        return _row_bound(t.child, env)
-    if isinstance(t, AntiJoin):
-        return _row_bound(t.left, env)
-    if isinstance(t, (Union_, Join)):
-        left, right = _row_bound(t.left, env), _row_bound(t.right, env)
-        if left is None or right is None:
-            return None
-        return left + right if isinstance(t, Union_) else left * right
-    return None
+    while isinstance(t, (Filter, Rename, AntiProject)):
+        t = t.child
+    return _leaf_rows(env[t.name]) if isinstance(t, Rel) else None
 
 
 def _over_budget(
@@ -420,20 +339,20 @@ def _run_pass(
     Spark evaluates only the inputs of every fixpoint's φ and seeds and of
     S (a nested fixpoint through the planner, checkpointed so that
     counting and collecting run it once; its plan has no exchange when it
-    ran as a pass), and checks them against the broadcast budget before
-    anything is collected. If they fit, n tasks each build the first
-    seeds, keep their part of them and evaluate S over their part of f
-    (:func:`_run_local`): S(f) = ⋃ₚ S(fₚ) (Proposition 1). The parts'
-    outputs are one distinct apart unless ``disjoint`` or n = 1. Each base
-    relation is collected in one job (:func:`_collect`) and broadcast, and
-    so is each nested fixpoint; but a pass of one part reads the slices of
-    its first base relation in its task, from one filtered scan. A slice
-    of a base relation gets a DataFrame of its own only if the check
-    counts it or the pass runs over the budget. Then nothing is collected,
-    and the pass runs over the input frames, so no nested fixpoint is
-    planned twice: P_plw with φ's constants and the seeds from Spark
-    (:func:`_run_plw`), and the hand-off as the distributed loop; S runs
-    in Spark over f's frame.
+    ran as a pass), split once for both tiers, and checks them against the
+    broadcast budget before anything is collected. If they fit, n tasks
+    each build the first seeds, keep their part of them and evaluate S
+    over their part of f (:func:`_run_local`): S(f) = ⋃ₚ S(fₚ)
+    (Proposition 1). The parts' outputs are one distinct apart unless
+    ``disjoint`` or n = 1. Each base relation is collected in one job
+    (:func:`_collect`) and broadcast, and so is each nested fixpoint; but a
+    pass of one part reads the slices of its first base relation in its
+    task, from one filtered scan. A slice of a base relation gets a
+    DataFrame of its own only if the check counts it or the pass runs over
+    the budget. Then the pass runs over the input frames, so no nested
+    fixpoint is planned twice: P_plw builds its seeds in Spark
+    (:func:`_run_plw`), and the hand-off runs the distributed loop, S in
+    Spark over f's frame.
     """
     var = levels[-1].var
     reads = [t for lv in levels for t in (lv.seeds, lv.phi)]
@@ -453,38 +372,28 @@ def _run_pass(
             dfs[name] = eval_spark(slices[name], env, spark, cfg)
         return dfs[name]
 
-    if not _over_budget(frame, slices, env, _copies(*terms, s), cfg):
-        cfg.chosen.extend([engine] * len(levels))
-        hashed = split[0].stable
-        n = (cfg.num_partitions or spark.sparkContext.defaultParallelism) if hashed else 1
-        evaluate = eval_duckdb if engine == "plw_pg" else eval_pandas
-        scans = _by_base(slices)
-        scan = None
-        if n == 1 and scans:  # the one task reads its first base relation
-            rel, conds = next(iter(scans.items()))
-            rows = filter_any(env[rel], list(conds.values()), spark)
-            # Catalyst drops a task over rows it knows to be none, so such
-            # a scan is collected instead.
-            if _leaf_rows(rows) != 0:
-                scan = _Scan(rel, rows.coalesce(1), {name: slices[name] for name in conds})
-        tables, fields = _collect(slices, env, frame, spark, scan and scan.rel)
-        local = subst(s, var, _local_term(split))
-        out = _run_local(local, tables, fields, split[0].seeds, spark, cfg, evaluate, hashed, n,
-                         scan)
-        return out if disjoint or n == 1 else out.distinct()
-    inputs = {**env, **{name: frame(name) for name in slices}}
-    if not levels[0].stable:
-        cfg.chosen.append("gld(broadcast-fallback)")
-        (level,), seeds, cenv, _ = _bind_constants(split, inputs, spark, cfg)
-        x = _run_gld(level.phi, level.var, seeds, cenv, spark, cfg)
-    else:
-        # P_plw's local engines deduplicate their seeds.
-        bound, seeds, cenv, cores = _bind_constants(split, inputs, spark, cfg, distinct=False)
-        # The row bound of each relation comes from its term over ``env``.
-        back = {Rel(name): core for name, core in slices.items()}
-        rel_terms = {**slices, **{name: _replace(t, back) for name, t in cores.items()}}
-        x = _run_plw(bound, seeds, cenv, rel_terms, spark, cfg, engine)
-    return eval_spark(consumer, {**env, var: x}, spark, cfg)
+    if _over_budget(frame, slices, env, _copies(*terms, s), cfg):
+        frames = {**env, **{name: frame(name) for name in slices}}
+        if split[0].hashed:
+            return _run_plw(split, s, disjoint, slices, frames, spark, cfg, engine)
+        x = _gld(split[0], frames, spark, cfg, "gld(broadcast-fallback)")
+        return eval_spark(s, {**frames, var: x}, spark, cfg)
+    cfg.chosen.extend([engine] * len(levels))
+    hashed = split[0].hashed
+    n = (cfg.num_partitions or spark.sparkContext.defaultParallelism) if hashed else 1
+    scans = _by_base(slices)
+    scan = None
+    if n == 1 and scans:  # the one task reads its first base relation
+        rel, conds = next(iter(scans.items()))
+        rows = filter_any(env[rel], list(conds.values()), spark)
+        # Catalyst drops a task over rows it knows to be none, so such a
+        # scan is collected instead.
+        if _leaf_rows(rows) != 0:
+            scan = _Scan(rel, rows.coalesce(1), {name: slices[name] for name in conds})
+    tables, fields = _collect(slices, env, frame, spark, scan and scan.rel)
+    local = subst(s, var, _local_term(split))
+    out = _run_local(local, tables, fields, split[0].seeds, spark, cfg, engine, hashed, n, scan)
+    return out if disjoint or n == 1 else out.distinct()
 
 
 def _base(core: Term) -> tuple[str, list[Cond]] | None:
@@ -561,18 +470,24 @@ def _collect(
 # ---------------------------------------------------------------------------
 
 
-def _run_gld(
-    phi2: Term,
-    var: str,
-    seeds: DataFrame,
-    cenv: Mapping[str, DataFrame],
-    spark: SparkSession,
-    cfg: FixConfig,
+def _gld(
+    level: _Level, env: Mapping[str, DataFrame], spark: SparkSession, cfg: FixConfig, label: str
 ) -> DataFrame:
-    """Driver loop; distributed ∪/∖ with a distinct per iteration.
+    """The fixpoint of ``level`` over ``env`` as a driver loop, labelled
+    ``label``: distributed ∪/∖ with a distinct per iteration.
 
-    φ's branches are one term, so one query evaluates them and their
-    distinct union (eval_spark returns a set).
+    φ's maximal subterms constant in X are named with
+    :func:`split_inputs`. Each core, such a subterm without its outer
+    renames, is evaluated once and checkpointed unless it is a bare
+    relation, and the seeds, a set, read it wherever they hold it, so
+    Q25's seeds do not recompute the co-actor composition. The label is
+    appended once they are bound, after those of the fixpoints they nest.
+    The checkpoint is not lazy: under adaptive execution,
+    ``localCheckpoint(eager=False)`` runs the shuffle stages of a plan
+    with an exchange (a join, say) when it is called, a job each, and
+    leaves only the final stage to the first action. φ's branches are one
+    term, so one query evaluates them and their distinct union
+    (eval_spark returns a set).
 
     The loop runs with Catalyst's constraint propagation off. A checkpoint
     keeps the constraints of the plan it ran, such as ``isnotnull`` on a
@@ -582,6 +497,15 @@ def _run_gld(
     over it then fails (``key not found`` in ``rewriteConstraints``).
     x ∪ new is such a union: each delta keeps the column ids of x. With
     propagation off, the checkpoints carry no constraints."""
+    var = level.var
+    (phi,), cores = split_inputs([level.phi], cfg.fresh(), lambda t: is_constant_in(t, var))
+    cenv = dict(env)
+    for name, core in cores.items():
+        df = eval_spark(core, env, spark, cfg)  # a bare relation's own frame
+        cenv[name] = df if isinstance(core, Rel) else df.localCheckpoint(eager=False)
+    reads = {core: Rel(name) for name, core in cores.items() if not isinstance(core, Rel)}
+    seeds = eval_spark(_replace(level.seeds, reads), cenv, spark, cfg)
+    cfg.chosen.append(label)
     cols = list(seeds.columns)
     key = "spark.sql.constraintPropagation.enabled"
     propagate = spark.conf.get(key)
@@ -591,7 +515,7 @@ def _run_gld(
 
         def step() -> int:
             nonlocal x, new
-            delta = eval_spark(phi2, {**cenv, var: new}, spark, cfg)
+            delta = eval_spark(phi, {**cenv, var: new}, spark, cfg)
             new = delta.join(x, on=cols, how="left_anti").localCheckpoint()
             n_new = new.count()
             if n_new:
@@ -640,48 +564,49 @@ def _copies(*ts: Term) -> Counter[str]:
 
 def _run_plw(
     levels: list[_Level],
-    seeds: DataFrame,
-    cenv: Mapping[str, DataFrame],
-    terms: Mapping[str, Term],
+    consumer: Term,
+    disjoint: bool,
+    slices: Mapping[str, Term],
+    frames: Mapping[str, DataFrame],
     spark: SparkSession,
     cfg: FixConfig,
     engine: str,
 ) -> DataFrame:
-    """Run the fixpoints of ``levels`` in one P_plw pass: ``seeds``, the
-    first one's, are hashed on its stable columns, and each partition's
-    engine evaluates :func:`_local_term` over its seeds, with every other
-    relation it reads broadcast. Equal rows of ``seeds`` share a
-    partition, whose engine removes the duplicates. ``terms`` gives the
-    term over ``cenv`` of each relation bound there."""
-    local = _local_term(levels)
-    copies = _copies(local)
-    del copies[_SEEDS]
-    rels = {name: cenv[name] for name in copies}
-    # If those relations overrun the broadcast budget, run P_gld
-    # (distributed shuffle joins) — the same family of decisions a join
-    # planner makes between broadcast and shuffle joins. They are checked
-    # before anything is collected, so a fallback collects nothing: from
-    # the row bounds of their terms, else by counting them in one job.
-    bounded = {name: terms.get(name, Rel(name)) for name in rels}
-    if rels and _over_budget(rels.__getitem__, bounded, cenv, copies, cfg):
-        *inner, top = levels
-        if not inner:
-            cfg.chosen.append("gld(broadcast-fallback)")
-            return _run_gld(top.phi, top.var, seeds.distinct(), cenv, spark, cfg)
-        # The last fixpoint runs alone, over the output of the others.
-        x = _run_plw(inner, seeds, cenv, terms, spark, cfg, engine)
-        top_seeds = eval_spark(top.seeds, {**cenv, top.var: x}, spark, cfg, distinct=False)
-        return _run_plw([top], top_seeds, cenv, terms, spark, cfg, engine)
-    cfg.chosen.extend([engine] * len(levels))
+    """S[f] for the fixpoints of ``levels``, f the last, in one P_plw pass
+    whose inputs overrun the broadcast budget: ``levels`` and S
+    (``consumer``) read the input ``slices`` (each a term over the base
+    relations), whose frames ``frames`` holds with the base relations.
 
+    Spark builds the first fixpoint's seeds R and hash-repartitions them
+    on its hashed columns. Equal rows of R share a partition, whose engine
+    removes the duplicates. The tasks read only the other slices, those of
+    every φ, of each chained fixpoint's seeds and of S: if they fit the
+    budget, they are collected (:func:`_collect`) and broadcast, and each
+    partition's task evaluates S[:func:`_local_term`] over its seeds, as
+    the pass does when its inputs fit, with the same ``disjoint`` rule. If
+    they do not, the last fixpoint runs alone over the output of the
+    others, and a lone fixpoint runs P_gld with S in Spark."""
+    first, (*inner, top) = levels[0], levels
+    tasks = [first.phi, *(t for lv in levels[1:] for t in (lv.seeds, lv.phi)), consumer]
+    copies = _copies(*tasks)
+    if _over_budget(frames.__getitem__, slices, frames, copies, cfg):
+        if not inner:
+            x = _gld(top, frames, spark, cfg, "gld(broadcast-fallback)")
+            return eval_spark(consumer, {**frames, top.var: x}, spark, cfg)
+        # The last fixpoint's seeds read the others' output as its variable.
+        x = _run_plw(inner, Var(inner[-1].var), True, slices, frames, spark, cfg, engine)
+        frames = {**frames, top.var: x}
+        return _run_plw([top], consumer, disjoint, slices, frames, spark, cfg, engine)
+    cfg.chosen.extend([engine] * len(levels))
     n = cfg.num_partitions or spark.sparkContext.defaultParallelism
-    # Hash-repartition the constant part by the stable column(s):
+    seeds = eval_spark(first.seeds, frames, spark, cfg, distinct=False)
     # Proposition 3 + stability ⇒ partition-local fixpoints are disjoint.
-    seeds = seeds.repartition(n, *levels[0].stable)
-    evaluate = eval_duckdb if engine == "plw_pg" else eval_pandas
-    tables = {name: df.toPandas() for name, df in rels.items()}
-    fields = {name: _fields(df) for name, df in rels.items()}
-    return _run_local(local, tables, fields, seeds, spark, cfg, evaluate)
+    seeds = seeds.repartition(n, *first.hashed)
+    tables, fields = _collect({name: slices[name] for name in copies}, frames,
+                              frames.__getitem__, spark)
+    local = subst(consumer, top.var, _local_term(levels))
+    out = _run_local(local, tables, fields, seeds, spark, cfg, engine)
+    return out if disjoint or n == 1 else out.distinct()
 
 
 def _hash_parts(rows: pd.DataFrame, cols: Sequence[str], n: int) -> pd.Series:
@@ -707,12 +632,13 @@ def _run_local(
     seeds: DataFrame | Term,
     spark: SparkSession,
     cfg: FixConfig,
-    evaluate: Callable[..., pd.DataFrame],
+    engine: str,
     hashed: Sequence[str] = (),
     n: int = 1,
     scan: _Scan | None = None,
 ) -> DataFrame:
-    """``local`` evaluated by ``evaluate`` once per part of its seeds,
+    """``local`` evaluated by ``engine``'s evaluator (:func:`eval_duckdb`
+    for ``plw_pg``, else :func:`eval_pandas`) once per part of its seeds,
     which it reads as ``__seeds``, with the collected relations ``tables``
     broadcast; ``fields`` gives each one's Spark fields in order. The
     parts are the non-empty partitions of the DataFrame ``seeds``; or,
@@ -733,6 +659,7 @@ def _run_local(
     out = StructType([StructField(c, f.dataType, f.nullable) for c, f in cols.items()])
     bc = spark.sparkContext.broadcast(dict(tables)) if tables else None
     row_cap = cfg.row_cap
+    evaluate = eval_duckdb if engine == "plw_pg" else eval_pandas
     # The task reads no DataFrame: the scan's relation, slices and schema.
     rel, cuts, schema = (None, {}, None) if scan is None else (
         scan.rel, scan.slices, scan.rows.schema)

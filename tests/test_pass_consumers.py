@@ -9,7 +9,7 @@ from unittest import mock
 
 import pandas as pd
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import plans
@@ -109,6 +109,64 @@ def test_consumers_match_reference(spark, strategy, tri, closure, body, end, k, 
         plan = out._jdf.queryExecution().executedPlan().toString()
         one = hashed is None or n == 1 or hashed in kept
         assert plan.count("Exchange") == (0 if one else 1), plan
+    got = [tuple(r) for r in out.select(*map(var_col, q.head)).collect()]
+    assert len(got) == len(set(got))
+    assert set(got) == eval_crpq(q, tri)
+
+
+def plan_of(df) -> str:
+    return df._jdf.queryExecution().executedPlan().toString()
+
+
+@settings(max_examples=6, deadline=None)
+@given(tri=edges, k=st.integers(0, 6))
+def test_pinned_hashed_column_needs_no_distinct(spark, tri, k):
+    # The seeds pin src, the column that the parts are hashed on: all of R
+    # is one part of the 3, so S needs no distinct though it drops src.
+    fix = Fix("X", Union_(Filter(EqConst("src", k), atom("a")), compose(X, atom("a"))))
+    s = Rename("dst", "v_y", AntiProject(("src",), X))
+    cfg = FixConfig(num_partitions=3)
+    g = spark.createDataFrame(pd.DataFrame(tri, columns=["src", "label", "dst"]))
+    out = eval_spark(subst(s, "X", fix), {"G": g}, spark, cfg)
+    assert cfg.chosen == ["plw_s"]
+    assert "Exchange" not in plan_of(out)
+    got = [tuple(r) for r in out.collect()]
+    assert len(got) == len(set(got))
+    assert set(got) == eval_crpq(parse_query(f"?y <- {k} a+ ?y"), tri)
+
+
+# c/a*, a right closure (stable src) whose seeds read a slice, σ[label=c]
+# of G, that its φ does not.
+C_THEN_A = Fix("X", Union_(atom("c"), compose(X, atom("a"))))
+
+
+@pytest.mark.parametrize("strategy", ["plw_s", "plw_pg"])
+@settings(max_examples=8, deadline=None)
+@given(
+    tri=edges,
+    body=st.sampled_from(sorted(BODIES)),
+    end=st.sampled_from(["both", "src=k", "no src", "loops"]),
+    k=st.integers(0, 6),
+    n=st.sampled_from([1, 3]),
+)
+def test_repartition_tier_runs_consumers_in_its_tasks(spark, strategy, tri, body, end, k, n):
+    # A budget that the inputs of the tasks (φ's and S's) fit and the seeds'
+    # slice, read by nothing else unrenamed, overruns: Spark builds and
+    # repartitions the seeds, and the tasks run the loop and S.
+    rows = {label: sum(e[1] == label for e in tri) for label in "abc"}
+    assume(rows["c"])
+    term, rx, keeps = BODIES[body]
+    s, q, kept = endpoints(term, rx.replace("a+", "(c|c/a+)"), keeps, end, k)
+    slices = {"X": "", "X/b": "b", "b/X": "b", "X/b ∪ X/c": "bc", "X ∪ b/X": "b"}[body]
+    budget = rows["a"] + sum(rows[label] for label in slices)
+    cfg = FixConfig(strategy, num_partitions=n, broadcast_rows=budget)
+    g = spark.createDataFrame(pd.DataFrame(tri, columns=["src", "label", "dst"]))
+    out = eval_spark(subst(s, "X", C_THEN_A), {"G": g}, spark, cfg)
+    assert cfg.chosen == [strategy]
+    plan = plan_of(out)
+    assert plan.count("REPARTITION_BY_NUM") == 1, plan
+    # One more Exchange, the final distinct, when S drops the hashed column.
+    assert plan.count("Exchange") == 1 + (n > 1 and "src" not in kept), plan
     got = [tuple(r) for r in out.select(*map(var_col, q.head)).collect()]
     assert len(got) == len(set(got))
     assert set(got) == eval_crpq(q, tri)

@@ -15,11 +15,10 @@ from repro.core.cost import GraphStats
 from repro.core.fcond import constant_variable_split
 from repro.core.paper_queries import YAGO_QUERIES
 from repro.core.planner import plan_crpq
-from repro.core.plans import _copies, _peel, _replace, extract_constants, split_inputs
+from repro.core.plans import _copies, _peel, _replace, split_inputs
 from repro.core.reference import eval_rx_pairs
 from repro.core.rpq import Label, Plus
 from repro.core.terms import (
-    AntiJoin,
     AntiProject,
     EqConst,
     Filter,
@@ -32,6 +31,7 @@ from repro.core.terms import (
     compose,
     free_rels,
     inverse,
+    is_constant_in,
     walk,
 )
 from repro.graphs.generators import erdos_renyi
@@ -313,7 +313,6 @@ def test_nested_fixpoint_binds_no_name_of_the_outer_one(
 
         return wrapper
 
-    monkeypatch.setattr(plans, "extract_constants", spy(plans.extract_constants))
     monkeypatch.setattr(plans, "split_inputs", spy(plans.split_inputs))
     env = {"S": spark.createDataFrame(fig2_s), "E": spark.createDataFrame(fig2_e)}
     eval_spark(nested_merged_fix(), env, spark, FixConfig(strategy=strategy)).collect()
@@ -518,22 +517,25 @@ class TestRowCap:
         assert pairs(out) == FIG2_FIXPOINT
 
 
+def constants(phi, var="X"):
+    """φ with its maximal subterms constant in ``var`` named, as P_gld
+    binds them, and the core of each name."""
+    return split_inputs([phi], "__bc_", lambda t: is_constant_in(t, var))
+
+
 class TestExtractConstants:
     def test_extracts_maximal_constant_subterms(self):
         phi = compose(Var("X"), Filter(EqConst("src", 1), Rel("E")))
-        phi2, consts = extract_constants(phi, "X")
+        (phi2,), consts = constants(phi)
         # The maximal constant subterm is the rename-wrapped filtered E
-        # (the whole compose right arm), broadcast pre-renamed.
-        assert len(consts) == 1
-        name = next(iter(consts))
-        assert name in free_rels(phi2)
-        extracted = consts[name]
-        assert "X" not in str(extracted)
-        assert "E" in free_rels(extracted)
+        # (the whole compose right arm): its core is named, and φ reads
+        # it renamed.
+        assert consts == {"__bc_0": Filter(EqConst("src", 1), Rel("E"))}
+        assert free_rels(phi2) == {"__bc_0"}
 
     def test_substitution_preserves_semantics(self, fig2_e, fig2_s):
         phi = compose(Var("X"), Filter(EqConst("src", 2), Rel("E")))
-        phi2, consts = extract_constants(phi, "X")
+        (phi2,), consts = constants(phi)
         env = {"E": fig2_e.copy(), "X": fig2_s.copy()}
         for name, t in consts.items():
             env[name] = eval_pandas(t, {"E": fig2_e.copy()})
@@ -544,12 +546,8 @@ class TestExtractConstants:
     def test_nested_fix_inside_extracted_term(self):
         inner = Fix("Y", Union_(Rel("S"), compose(Var("Y"), Rel("E"))))
         phi = compose(Var("X"), inner)
-        _, consts = extract_constants(phi, "X")
-        from repro.core.terms import walk
-
-        assert any(
-            isinstance(s, Fix) for t in consts.values() for s in walk(t)
-        )
+        _, consts = constants(phi)
+        assert any(isinstance(s, Fix) for t in consts.values() for s in walk(t))
 
 
 def atom(label):
@@ -583,18 +581,12 @@ class TestSplitInputs:
 
 def core_reads(consts):
     """Each constant's core, unless a bare relation, mapped to a read of
-    the first constant's relation with that core, as the P_plw plans bind
-    them: the relation holds the core."""
-    reads = {}
-    for name, t in consts.items():
-        core, _ = _peel(t)
-        if not isinstance(core, Rel):
-            reads.setdefault(core, Rel(name))
-    return reads
+    its relation, as P_gld's seeds read them."""
+    return {core: Rel(name) for name, core in consts.items() if not isinstance(core, Rel)}
 
 
 class TestReadConstants:
-    """The seeds read φ's checkpointed constant cores instead of
+    """P_gld's seeds read φ's checkpointed constant cores instead of
     recomputing them."""
 
     def test_q25_seeds_read_the_co_actor_constant(self):
@@ -602,7 +594,7 @@ class TestReadConstants:
         term = plan_crpq(YAGO_QUERIES["Q25"], GraphStats.from_pandas(tri), consts).term
         (fix,) = [s for s in walk(term) if isinstance(s, Fix)]
         const, phi = constant_variable_split(fix)
-        _, cmap = extract_constants(phi, fix.var)
+        _, cmap = constants(phi, fix.var)
         reads = core_reads(cmap)
         seeds = _replace(const, reads)
         # __bc_0 holds the co-actor composition, __bc_1 hasChild.
@@ -622,30 +614,32 @@ class TestReadConstants:
         assert pairs(eval_pandas(seeds, cenv)) == pairs(want)
 
     def test_bare_relations_and_nested_fixpoints_are_not_replaced(self):
-        _, cmap = extract_constants(compose(Var("X"), Rel("E")), "X")
+        _, cmap = constants(compose(Var("X"), Rel("E")))
         ee = compose(Rel("E"), Rel("E"))
         assert _replace(ee, core_reads(cmap)) == ee
         core = compose(Rel("E"), Rel("S"))
-        _, cmap = extract_constants(compose(Var("X"), core, "m9"), "X")
-        # A nested fixpoint binds its own constants under the same names.
+        _, cmap = constants(compose(Var("X"), core, "m9"))
+        # A nested fixpoint binds its own constants under other names.
         nested = Fix("Y", Union_(core, compose(Var("Y"), Rel("E"), "m9")))
         assert _replace(Join(core, nested), core_reads(cmap)) == Join(Rel("__bc_0"), nested)
 
 
-# Terms over {src, dst} whose leaves all have row counts in Catalyst: P
-# built from pandas, C a built cache, and the pairs of a spark.range.
-RANGE_PAIRS = Join(Rename("id", "src", Rel("R")), Rename("id", "dst", Rel("R")))
-bounded_terms = st.recursive(
-    st.sampled_from([Rel("P"), Rel("C"), RANGE_PAIRS]),
-    lambda kids: st.one_of(
-        st.builds(lambda t, v: Filter(EqConst("src", v), t), kids, st.integers(0, 12)),
-        kids.map(inverse),
-        st.builds(Union_, kids, kids),
-        st.builds(compose, kids, kids),
-        st.builds(AntiJoin, kids, kids),
-    ),
-    max_leaves=4,
-)
+@st.composite
+def bounded_terms(draw):
+    """A chain of σ, ρ and π̃, as an input slice is, over a leaf with a row
+    count in Catalyst: P built from pandas, C a built cache, or R a
+    spark.range."""
+    t = draw(st.sampled_from([Rel("P"), Rel("C"), Rel("R")]))
+    cols = ["id"] if t == Rel("R") else ["src", "dst"]
+    for op in draw(st.lists(st.sampled_from("σρπ"), max_size=4)):
+        c = draw(st.sampled_from(cols))
+        if op == "σ":
+            t = Filter(EqConst(c, draw(st.integers(0, 12))), t)
+        elif op == "ρ":
+            t, cols = Rename(c, c + "'", t), [c + "'" if d == c else d for d in cols]
+        elif len(cols) > 1:
+            t, cols = AntiProject((c,), t), [d for d in cols if d != c]
+    return t
 
 
 class TestRowBound:
@@ -668,7 +662,7 @@ class TestRowBound:
             assert plans._row_bound(Rel(name), env) == len(pdf)
 
     @settings(max_examples=60, deadline=None)
-    @given(t=bounded_terms)
+    @given(t=bounded_terms())
     def test_bound_is_never_below_the_count(self, env, frames, t):
         bound = plans._row_bound(t, env)
         assert bound is not None
@@ -687,9 +681,8 @@ class TestRowBound:
         # buffers are built.
         env = {**env, "L": make(spark, fig2_e)}
         assert plans._row_bound(Rel("L"), env) is None
-        assert plans._row_bound(Union_(Rel("P"), Rel("L")), env) is None
-        assert plans._row_bound(Join(Rel("C"), Rel("L")), env) is None
+        assert plans._row_bound(Filter(EqConst("src", 1), Rel("L")), env) is None
         env["L"].unpersist()
 
     def test_no_bound_over_a_fixpoint(self, env):
-        assert plans._row_bound(Union_(Rel("P"), right_tc("P", "C")), env) is None
+        assert plans._row_bound(Filter(EqConst("src", 1), right_tc("P", "C")), env) is None
